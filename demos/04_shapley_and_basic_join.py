@@ -16,7 +16,6 @@ from gridbench import (
     SyntheticSpec,
     apply_pipeline,
     basic_join_explain,
-    blackbox_ensemble_explain,
     fit_pipeline,
     generate_synthetic,
     sample_background,
@@ -38,7 +37,7 @@ background = sample_background(X_train, size=50, seed=9)
 x = X_test[0]
 
 # Whole-ensemble treatment: one Shapley explanation of the composite scorer.
-blackbox = blackbox_ensemble_explain(ens, x, background, mode="exact")
+blackbox = shapley_explain(ens, x, background, mode="exact")
 print("blackbox phi:", np.round(blackbox.phi, 4))
 print("base value:", round(blackbox.base_value, 4))
 print("local accuracy |base + sum(phi) - score|:",

@@ -35,13 +35,13 @@ model = train("mlp", X_train, pair.train.labels, seed=8)
 
 # Per-instance minimal found perturbation.
 for i in range(3):
-    delta = adversarial_robustness(model, X_test[i], X_train,
+    probe = adversarial_robustness(model, X_test[i], X_train,
                                    n_random_dirs=4, seed=i)
-    print(f"instance {i}: minimal found L2 perturbation = {delta:.4f}")
+    print(f"instance {i}: minimal found L2 perturbation = {probe.delta:.4f}")
 
 # Dataset-level bound over seeded instance pairs.
-bound = lipschitz_lower(model, X_test, max_pairs=2000, seed=0)
-print(f"\nLipschitz lower bound over test pairs: {bound:.4f}")
+bound, pairs = lipschitz_lower(model, X_test, max_pairs=2000, seed=0)
+print(f"\nLipschitz lower bound over {pairs} test pairs: {bound:.4f}")
 
 # Aggregate view used by study runs.
 suite = robustness_metrics_suite(model, X_test[:10], X_train,

@@ -26,7 +26,6 @@ from .explain import (  # noqa: F401
     Background,
     Explanation,
     basic_join_explain,
-    blackbox_ensemble_explain,
     build_explainer,
     join_attributions,
     sample_background,
@@ -47,8 +46,6 @@ from .metrics import (  # noqa: F401
 from .models import (  # noqa: F401
     StackedEnsemble,
     TrainedModel,
-    label,
-    score,
     train,
     train_stack,
 )

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import GridBenchError, ValidationError
-from .report import _fmt
+from .report import _fmt, wilcoxon_text
 from .store import DocumentStore, validate
 from .study import run_study, write_reports
 
@@ -53,13 +53,10 @@ def _cmd_compare(args) -> int:
                 print(f"  algorithm_{name}: "
                       + ", ".join(_fmt(v) for v in values))
             print(f"  mean difference: {_fmt(comp['point_estimate'])}")
-            wilcoxon = comp["wilcoxon"]
             if comp.get("wilcoxon_incomputable"):
                 print(f"  wilcoxon: incomputable ({comp['wilcoxon_incomputable']})")
             else:
-                print(f"  wilcoxon: W={_fmt(wilcoxon['statistic'])} "
-                      f"p={_fmt(wilcoxon['p_value'])} "
-                      f"n_eff={wilcoxon['n_effective']} [{wilcoxon['method']}]")
+                print(f"  wilcoxon: {wilcoxon_text(comp['wilcoxon'])}")
             if comp.get("cohens_d_incomputable"):
                 print(f"  cohens_d: incomputable ({comp['cohens_d_incomputable']})")
             else:
@@ -143,16 +140,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: Exception):
+    """The message, then any notes (such as the dataset a run failed on)."""
+    print(f"error: {exc}", file=sys.stderr)
+    for note in getattr(exc, "__notes__", ()):
+        print(f"  {note}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
     except GridBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
 
 

@@ -20,10 +20,6 @@ from .models import StackedEnsemble
 
 EXACT_DIMENSION_LIMIT = 12
 
-EXACT_SHAPLEY = "exact_shapley"
-SAMPLED_SHAPLEY = "sampled_shapley"
-BASIC_JOIN = "basic_join"
-
 
 @dataclass(frozen=True)
 class Explanation:
@@ -31,21 +27,10 @@ class Explanation:
 
     phi: np.ndarray
     base_value: float
-    explainer_kind: str
-    target_instance_ref: int | None = None
-    compute_seed: int | None = None
 
     def prediction(self) -> float:
         """base_value + sum(phi): the score the explanation reconstructs."""
         return float(self.base_value + self.phi.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "phi": [float(v) for v in self.phi],
-            "base_value": float(self.base_value),
-            "explainer_kind": self.explainer_kind,
-            "seed": self.compute_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -53,7 +38,6 @@ class Background:
     """Reference rows the value function imputes absent features from."""
 
     rows: np.ndarray
-    sample_seed: int | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -74,10 +58,10 @@ def sample_background(X: np.ndarray, size: int = 100, seed: int = 0) -> Backgrou
     """Seeded sample of up to ``size`` training rows (all rows if fewer)."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] <= size:
-        return Background(X.copy(), sample_seed=int(seed))
+        return Background(X.copy())
     rng = np.random.default_rng(seed)
     idx = rng.choice(X.shape[0], size=size, replace=False)
-    return Background(X[np.sort(idx)], sample_seed=int(seed))
+    return Background(X[np.sort(idx)])
 
 
 def _check_instance(model, x) -> np.ndarray:
@@ -145,8 +129,7 @@ def _sampled_shapley(model, x, background: Background, n_samples: int, seed: int
 
 
 def shapley_explain(model, x, background: Background, mode: str = "auto",
-                    n_samples: int = 2000, seed: int = 0,
-                    target_instance_ref: int | None = None) -> Explanation:
+                    n_samples: int = 2000, seed: int = 0) -> Explanation:
     """Shapley attribution of model.score at x against a background sample.
 
     ``mode`` is "exact" (full coalition enumeration, d <= 12), "sampled"
@@ -165,24 +148,11 @@ def shapley_explain(model, x, background: Background, mode: str = "auto",
             raise ExactTooLarge(
                 f"exact enumeration needs d <= {EXACT_DIMENSION_LIMIT}, got {d}")
         phi, base = _exact_shapley(model, x, background)
-        kind = EXACT_SHAPLEY
     elif mode == "sampled":
         phi, base = _sampled_shapley(model, x, background, int(n_samples), int(seed))
-        kind = SAMPLED_SHAPLEY
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return Explanation(phi=phi, base_value=base, explainer_kind=kind,
-                       target_instance_ref=target_instance_ref,
-                       compute_seed=int(seed))
-
-
-def blackbox_ensemble_explain(ens: StackedEnsemble, x, background: Background,
-                              mode: str = "auto", n_samples: int = 2000,
-                              seed: int = 0,
-                              target_instance_ref: int | None = None) -> Explanation:
-    """Explain the whole ensemble as one opaque scorer."""
-    return shapley_explain(ens, x, background, mode=mode, n_samples=n_samples,
-                           seed=seed, target_instance_ref=target_instance_ref)
+    return Explanation(phi=phi, base_value=base)
 
 
 def join_attributions(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -200,8 +170,8 @@ def join_attributions(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def basic_join_explain(ens: StackedEnsemble, x, background: Background,
-                       mode: str = "auto", n_samples: int = 2000, seed: int = 0,
-                       target_instance_ref: int | None = None) -> Explanation:
+                       mode: str = "auto", n_samples: int = 2000,
+                       seed: int = 0) -> Explanation:
     """Compose first-level feature attributions with second-level weights.
 
     Each first-level model is explained on the raw features; the second
@@ -219,18 +189,14 @@ def basic_join_explain(ens: StackedEnsemble, x, background: Background,
         columns.append(sub_expl.phi)
     A = np.column_stack(columns)
 
-    score_background = Background(ens.first_level_scores(background.rows),
-                                  sample_seed=background.sample_seed)
+    score_background = Background(ens.first_level_scores(background.rows))
     s_x = np.array([float(sub.score(x[None, :])[0]) for sub in ens.first_level])
     second_expl = shapley_explain(ens.second_level, s_x, score_background,
                                   mode=mode, n_samples=n_samples, seed=seed)
     assert second_expl.phi.shape == (m,)
 
     phi = join_attributions(A, second_expl.phi)
-    return Explanation(phi=phi, base_value=second_expl.base_value,
-                       explainer_kind=BASIC_JOIN,
-                       target_instance_ref=target_instance_ref,
-                       compute_seed=int(seed))
+    return Explanation(phi=phi, base_value=second_expl.base_value)
 
 
 def build_explainer(kind: str, mode: str = "auto", n_samples: int = 2000):
@@ -240,16 +206,13 @@ def build_explainer(kind: str, mode: str = "auto", n_samples: int = 2000):
     returned callable is the interface every explanation metric consumes.
     """
     if kind == "blackbox":
-        def explain(model, x, background, seed=0, target_instance_ref=None):
+        def explain(model, x, background, seed=0):
             return shapley_explain(model, x, background, mode=mode,
-                                   n_samples=n_samples, seed=seed,
-                                   target_instance_ref=target_instance_ref)
+                                   n_samples=n_samples, seed=seed)
     elif kind == "basic_join":
-        def explain(model, x, background, seed=0, target_instance_ref=None):
+        def explain(model, x, background, seed=0):
             return basic_join_explain(model, x, background, mode=mode,
-                                      n_samples=n_samples, seed=seed,
-                                      target_instance_ref=target_instance_ref)
+                                      n_samples=n_samples, seed=seed)
     else:
         raise ValueError(f"unknown explainer kind {kind!r}")
-    explain.kind = kind
     return explain

@@ -238,15 +238,16 @@ def _bisect_flip(score_at, base_label: int, threshold: float, lo: float,
     return hi
 
 
-def adversarial_robustness_detail(model, x, candidates: np.ndarray,
-                                  n_random_dirs: int = 4, seed: int = 0,
-                                  tol: float = 1e-6) -> RobustnessProbe:
+def adversarial_robustness(model, x, candidates: np.ndarray,
+                           n_random_dirs: int = 4, seed: int = 0,
+                           tol: float = 1e-6) -> RobustnessProbe:
     """Minimum found L2 perturbation that flips the predicted label.
 
     Directions: toward every opposite-labeled candidate (a flip is certain
     on that segment) plus seeded random unit directions with an expanding
-    search capped at 10x the data's bounding-box diagonal. The result is an
-    upper bound on the true minimal perturbation.
+    search capped at 10x the data's bounding-box diagonal. The probe's
+    ``delta`` is an upper bound on the true minimal perturbation and its
+    ``witness`` is the flipped point at that distance.
     """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -297,16 +298,10 @@ def adversarial_robustness_detail(model, x, candidates: np.ndarray,
     return best
 
 
-def adversarial_robustness(model, x, candidates, n_random_dirs: int = 4,
-                           seed: int = 0, tol: float = 1e-6) -> float:
-    return adversarial_robustness_detail(model, x, candidates, n_random_dirs,
-                                         seed, tol).delta
-
-
 # --- Lipschitz lower bound ------------------------------------------------------
 
-def lipschitz_lower_detail(model, instances: np.ndarray, max_pairs: int = 10000,
-                           seed: int = 0) -> tuple[float, int]:
+def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
+                    seed: int = 0) -> tuple[float, int]:
     """Max observed |score(x_i)-score(x_j)| / ||x_i-x_j||_2 over instance pairs.
 
     Evaluates all pairs when n(n-1)/2 <= max_pairs, else the first
@@ -347,10 +342,6 @@ def lipschitz_lower_detail(model, instances: np.ndarray, max_pairs: int = 10000,
     return float(ratios.max()), int(valid.sum())
 
 
-def lipschitz_lower(model, instances, max_pairs: int = 10000, seed: int = 0) -> float:
-    return lipschitz_lower_detail(model, instances, max_pairs, seed)[0]
-
-
 # --- aggregation helpers for study runs ------------------------------------------
 
 def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
@@ -388,11 +379,11 @@ def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarra
         try:
             deltas.append(adversarial_robustness(
                 model, x, candidates, n_random_dirs,
-                seed=derive_seed(seed, "adv", i)))
+                seed=derive_seed(seed, "adv", i)).delta)
         except NoFlipFound:
             continue
-    bound, pairs = lipschitz_lower_detail(model, instances, max_pairs,
-                                          seed=derive_seed(seed, "lip"))
+    bound, pairs = lipschitz_lower(model, instances, max_pairs,
+                                   seed=derive_seed(seed, "lip"))
     return RobustnessMetrics(
         delta_adv=tuple(float(v) for v in deltas),
         mean_delta_adv=float(np.mean(deltas)) if deltas else None,

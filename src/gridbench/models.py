@@ -85,19 +85,6 @@ class TrainedModel:
         raise NotImplementedError
 
 
-def score(model, x) -> float:
-    """Score a single instance (the per-instance operation surface)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dimension:
-        raise DimensionMismatch(
-            f"expected a length-{model.input_dimension} vector, got shape {x.shape}")
-    return float(model.score(x[None, :])[0])
-
-
-def label(model, x) -> int:
-    return int(score(model, x) >= model.threshold)
-
-
 # --- logistic regression --------------------------------------------------
 
 class LogisticRegressionModel(TrainedModel):

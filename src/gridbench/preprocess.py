@@ -193,13 +193,3 @@ def apply_pipeline(pipeline: FittedPipeline, ds: Dataset) -> np.ndarray:
     if pipeline.pca_components_matrix is not None:
         matrix = (matrix - pipeline.pca_mean) @ pipeline.pca_components_matrix
     return matrix
-
-
-def apply_rows(pipeline: FittedPipeline, features: np.ndarray) -> np.ndarray:
-    """Like :func:`apply_pipeline` but on a raw cell matrix (no schema check)."""
-    matrix = _encode(pipeline, np.asarray(features, dtype=object))
-    if pipeline.minmax_params is not None:
-        matrix = _apply_minmax(pipeline.minmax_params, matrix)
-    if pipeline.pca_components_matrix is not None:
-        matrix = (matrix - pipeline.pca_mean) @ pipeline.pca_components_matrix
-    return matrix

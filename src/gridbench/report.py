@@ -22,6 +22,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def wilcoxon_text(wilcoxon: dict) -> str:
+    """One line for a stored Wilcoxon result.
+
+    Exact tests also show the smallest p-value their n_effective allows,
+    2^(1 - n): with few datasets no difference can reach significance.
+    """
+    n = wilcoxon["n_effective"]
+    text = f"W={_fmt(wilcoxon['statistic'])} p={_fmt(wilcoxon['p_value'])}"
+    if wilcoxon["method"] == "exact":
+        text += f" min_p={_fmt(min(1.0, 2.0 ** (1 - n)))}"
+    return text + f" n_eff={n} [{wilcoxon['method']}]"
+
+
 def _px(value: float) -> str:
     return format(float(value), ".2f")
 
@@ -235,13 +248,10 @@ def text_summary(record: dict) -> str:
     if comparisons:
         out.append("statistics (algorithm a - algorithm b, per metric):")
         for comp in comparisons:
-            wilcoxon = comp["wilcoxon"]
             if comp.get("wilcoxon_incomputable"):
                 w_text = f"wilcoxon incomputable ({comp['wilcoxon_incomputable']})"
             else:
-                w_text = (f"W={_fmt(wilcoxon['statistic'])} "
-                          f"p={_fmt(wilcoxon['p_value'])} "
-                          f"n_eff={wilcoxon['n_effective']} [{wilcoxon['method']}]")
+                w_text = wilcoxon_text(comp["wilcoxon"])
             if comp.get("cohens_d_incomputable"):
                 d_text = f"d incomputable ({comp['cohens_d_incomputable']})"
             else:

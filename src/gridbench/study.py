@@ -3,8 +3,9 @@
 A study config is one JSON document (see ``validate_config``). Execution is
 all-or-nothing: every dataset/algorithm cell is computed in memory and the
 record is saved only when the whole study succeeded. Every random choice
-derives from the master seed via ``seeding.derive_seed``; dataset-level work
-items are independent, so results do not depend on worker count.
+derives from the master seed via ``seeding.derive_seed``. Datasets are
+evaluated one after another on the calling thread, so recorded timings are
+not inflated by other threads competing for the CPU.
 
 Model-training seeds are labeled with a digest of the model spec rather
 than the algorithm slot: two slots configured with the same model train
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +167,6 @@ def validate_config(config: dict) -> dict:
     output.setdefault("store_root", "studies")
     output.setdefault("report_dir", "reports")
 
-    workers = config.get("workers", 0)
-    _require(isinstance(workers, int) and workers >= 0,
-             "workers must be a non-negative integer (0 = logical cores)")
-
     return {
         "master_seed": config["master_seed"],
         "datasets": norm_datasets,
@@ -180,7 +176,6 @@ def validate_config(config: dict) -> dict:
         "algorithm_b": algorithms["algorithm_b"],
         "metrics": metrics,
         "output": output,
-        "workers": workers,
     }
 
 
@@ -358,24 +353,16 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     base_dir = Path(base_dir)
     output_base = base_dir if output_base is None else Path(output_base)
 
-    def evaluate(i, entry):
+    started = time.perf_counter()
+    results = []
+    for i, entry in enumerate(config["datasets"]):
         try:
-            return _evaluate_dataset(i, entry, config, base_dir)
+            results.append(_evaluate_dataset(i, entry, config, base_dir))
         except Exception as exc:
             if hasattr(exc, "add_note"):
                 exc.add_note(f"while evaluating datasets[{i}] "
                              f"({entry.get('name', entry.get('path', '?'))})")
             raise
-
-    workers = config["workers"] or min(len(config["datasets"]), os.cpu_count() or 1)
-    started = time.perf_counter()
-    if workers <= 1 or len(config["datasets"]) == 1:
-        results = [evaluate(i, e) for i, e in enumerate(config["datasets"])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(evaluate, i, e)
-                       for i, e in enumerate(config["datasets"])]
-            results = [f.result() for f in futures]
 
     record = {
         "study_id": new_study_id(),

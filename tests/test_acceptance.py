@@ -147,7 +147,7 @@ def test_robustness_criteria():
     """Threshold stub 0.2 +- 1e-5; separator |w.x+b|/||w|| +- 1e-4; Lipschitz."""
     stub = AxisThresholdStub(cut=0.5)
     got = adversarial_robustness(stub, np.array([0.3]), np.array([[0.9]]),
-                                 n_random_dirs=0, seed=0)
+                                 n_random_dirs=0, seed=0).delta
     assert abs(got - 0.2) < 1e-5
 
     w, b = np.array([3.0, 4.0]), -2.0
@@ -156,17 +156,17 @@ def test_robustness_criteria():
     signed = (w @ x + b) / np.linalg.norm(w)
     candidate = x - 2.0 * signed * w / np.linalg.norm(w)
     got = adversarial_robustness(model, x, candidate[None, :],
-                                 n_random_dirs=0, seed=0)
+                                 n_random_dirs=0, seed=0).delta
     assert abs(got - abs(signed)) < 1e-4
 
     lin = LinearStub([3.0, 4.0])
     rng = np.random.default_rng(13)
     for _ in range(10):
         instances = rng.normal(size=(20, 2))
-        assert lipschitz_lower(lin, instances) <= 5.0 + 1e-12
+        assert lipschitz_lower(lin, instances)[0] <= 5.0 + 1e-12
     with_parallel = np.vstack([rng.normal(size=(10, 2)),
                                [[0.0, 0.0], [3.0, 4.0]]])
-    assert lipschitz_lower(lin, with_parallel) == pytest.approx(5.0)
+    assert lipschitz_lower(lin, with_parallel)[0] == pytest.approx(5.0)
     _report("robustness: stub distance 0.2 within 1e-5; hyperplane distance "
             "within 1e-4; Lipschitz bound <= ||w|| and attained")
 

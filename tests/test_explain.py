@@ -6,7 +6,6 @@ from gridbench.errors import DimensionMismatch, ExactTooLarge
 from gridbench.explain import (
     Background,
     basic_join_explain,
-    blackbox_ensemble_explain,
     build_explainer,
     join_attributions,
     sample_background,
@@ -164,8 +163,7 @@ class TestBlackboxEnsemble:
                 return np.full(np.asarray(X).shape[0], 0.4)
 
         bg = Background(np.zeros((4, 3)))
-        expl = blackbox_ensemble_explain(ConstStack(), np.ones(3), bg,
-                                         mode="exact")
+        expl = shapley_explain(ConstStack(), np.ones(3), bg, mode="exact")
         assert np.allclose(expl.phi, 0.0, atol=1e-12)
 
     def test_single_model_monotone_second_level_top_feature(self, blob_matrices):
@@ -179,7 +177,7 @@ class TestBlackboxEnsemble:
         for i in range(20):
             inner = shapley_explain(ens.first_level[0], X_test[i], bg,
                                     mode="exact")
-            outer = blackbox_ensemble_explain(ens, X_test[i], bg, mode="exact")
+            outer = shapley_explain(ens, X_test[i], bg, mode="exact")
             agree += int(np.argmax(np.abs(inner.phi))
                          == np.argmax(np.abs(outer.phi)))
         assert agree >= 16
@@ -187,10 +185,10 @@ class TestBlackboxEnsemble:
     def test_determinism(self, trained_stack, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
-        a = blackbox_ensemble_explain(trained_stack, X_test[1], bg,
-                                      mode="sampled", n_samples=100, seed=5)
-        b = blackbox_ensemble_explain(trained_stack, X_test[1], bg,
-                                      mode="sampled", n_samples=100, seed=5)
+        a = shapley_explain(trained_stack, X_test[1], bg,
+                            mode="sampled", n_samples=100, seed=5)
+        b = shapley_explain(trained_stack, X_test[1], bg,
+                            mode="sampled", n_samples=100, seed=5)
         assert np.array_equal(a.phi, b.phi)
 
 

@@ -11,7 +11,6 @@ from gridbench.errors import (
 from gridbench.explain import Background, build_explainer, sample_background
 from gridbench.metrics import (
     adversarial_robustness,
-    adversarial_robustness_detail,
     auc_morf,
     classification_metrics,
     explanation_error,
@@ -189,7 +188,7 @@ class TestAdversarialRobustness:
         model = AxisThresholdStub(cut=0.5)
         candidates = np.array([[0.9]])
         got = adversarial_robustness(model, np.array([0.3]), candidates,
-                                     n_random_dirs=0, seed=0)
+                                     n_random_dirs=0, seed=0).delta
         assert got == pytest.approx(0.2, abs=1e-5)
 
     def test_linear_separator_perpendicular_distance(self):
@@ -203,7 +202,7 @@ class TestAdversarialRobustness:
         assert signed == pytest.approx(0.4)
         candidate = x - 2.0 * signed * w / np.linalg.norm(w)
         got = adversarial_robustness(model, x, candidate[None, :],
-                                     n_random_dirs=0, seed=0)
+                                     n_random_dirs=0, seed=0).delta
         assert got == pytest.approx(0.4, abs=1e-4)
 
     def test_constant_model_no_flip(self):
@@ -216,8 +215,8 @@ class TestAdversarialRobustness:
         X_train, _, X_test, _ = blob_matrices
         model = trained_models["logreg"]
         x = X_test[0]
-        probe = adversarial_robustness_detail(model, x, X_train,
-                                              n_random_dirs=2, seed=0)
+        probe = adversarial_robustness(model, x, X_train,
+                                       n_random_dirs=2, seed=0)
         base = int(model.score(x[None, :])[0] >= model.threshold)
         flipped = int(model.score(probe.witness[None, :])[0] >= model.threshold)
         assert flipped != base
@@ -228,7 +227,7 @@ class TestAdversarialRobustness:
         model = AxisThresholdStub(cut=0.5)
         same_side = np.array([[0.1], [0.2]])
         got = adversarial_robustness(model, np.array([0.3]), same_side,
-                                     n_random_dirs=8, seed=1)
+                                     n_random_dirs=8, seed=1).delta
         assert got == pytest.approx(0.2, abs=1e-4)
 
 
@@ -236,13 +235,13 @@ class TestLipschitzLower:
     def test_linear_parallel_pair_attains_weight_norm(self):
         model = LinearStub([3.0, 4.0])
         instances = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
-        got = lipschitz_lower(model, instances)
+        got, _ = lipschitz_lower(model, instances)
         assert got == pytest.approx(5.0)
 
     def test_constant_model_zero(self):
         model = ConstantStub(0.5)
         instances = np.array([[0.0, 0.0], [1.0, 2.0]])
-        assert lipschitz_lower(model, instances) == 0.0
+        assert lipschitz_lower(model, instances)[0] == 0.0
 
     def test_cauchy_schwarz_upper_bound(self):
         # oracle: |w.(x-y)| <= ||w|| * ||x-y||, so no pair can exceed ||w||
@@ -251,12 +250,12 @@ class TestLipschitzLower:
         model = LinearStub(w)
         for _ in range(20):
             instances = rng.normal(size=(15, 4))
-            assert lipschitz_lower(model, instances) <= np.linalg.norm(w) + 1e-12
+            assert lipschitz_lower(model, instances)[0] <= np.linalg.norm(w) + 1e-12
 
     def test_monotone_in_max_pairs(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
         model = trained_models["mlp"]
-        values = [lipschitz_lower(model, X_test, max_pairs=k, seed=5)
+        values = [lipschitz_lower(model, X_test, max_pairs=k, seed=5)[0]
                   for k in (20, 50, 100)]
         assert values[0] <= values[1] <= values[2]
 

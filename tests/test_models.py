@@ -11,9 +11,7 @@ from gridbench.errors import (
 from gridbench.metrics import auc_score
 from gridbench.models import (
     LogisticRegressionModel,
-    label,
     mlp_loss_and_gradients,
-    score,
     train,
     train_stack,
 )
@@ -45,7 +43,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2], [1.3]])
         y = np.array([0, 0, 0, 1, 1, 1, 0])
         model = train("tree", X, y, {"max_depth": 1})
-        assert score(model, np.array([1.15])) == pytest.approx(0.75)
+        assert model.score(np.array([[1.15]]))[0] == pytest.approx(0.75)
 
     def test_tie_break_is_deterministic(self):
         # duplicated feature columns give identical gains; lowest index wins
@@ -135,13 +133,14 @@ class TestDeterminism:
 class TestScoreLabelSurface:
     def test_dimension_mismatch(self, trained_models):
         with pytest.raises(DimensionMismatch):
-            score(trained_models["logreg"], np.zeros(99))
+            trained_models["logreg"].score(np.zeros((1, 99)))
 
     def test_label_thresholding(self, trained_models, blob_matrices):
         model = trained_models["logreg"]
         _, _, X_test, _ = blob_matrices
-        for x in X_test[:5]:
-            assert label(model, x) == int(score(model, x) >= model.threshold)
+        X = X_test[:5]
+        assert np.array_equal(model.label(X),
+                              (model.score(X) >= model.threshold).astype(np.int64))
 
 
 class TestStacking:

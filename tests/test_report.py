@@ -79,6 +79,7 @@ class TestTextSummary:
         assert "sens_max" in text
         assert "(large)" in text  # fixture d = -2.5
         assert "CI[-0.015, -0.008]" in text
+        assert "min_p=0.5" in text  # exact test at n_eff 2: 2^(1-2)
 
     def test_effect_buckets_rendered_from_comparison(self):
         record = minimal_record()

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ def tiny_config(store_root="studies", report_dir="reports", master_seed=7):
                     "n_probes": 2, "morf_k": 2, "bootstrap_resamples": 300,
                     "lipschitz_max_pairs": 150},
         "output": {"store_root": store_root, "report_dir": report_dir},
-        "workers": 1,
     }
 
 
@@ -119,12 +119,19 @@ class TestRunStudy:
         other = run_study(tiny_config(master_seed=8), base_dir=tmp_path)
         assert other["reproducibility_digest"] != record["reproducibility_digest"]
 
-    def test_worker_count_does_not_change_results(self, study_dirs, tmp_path):
+    def test_study_runs_on_the_calling_thread(self, study_dirs, tmp_path,
+                                              monkeypatch):
+        # a leftover "workers" key is accepted and ignored: no thread starts
         _, record = study_dirs
+
+        def no_threads(self):
+            raise AssertionError("run_study started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         config = tiny_config()
         config["workers"] = 2
-        threaded = run_study(config, base_dir=tmp_path)
-        assert threaded["reproducibility_digest"] == record["reproducibility_digest"]
+        again = run_study(config, base_dir=tmp_path)
+        assert again["reproducibility_digest"] == record["reproducibility_digest"]
 
     def test_explanation_metrics_get_finite_statistics(self, study_dirs):
         _, record = study_dirs
@@ -221,6 +228,24 @@ class TestCli:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", str(config_path)]) == 1
         assert "exist.json" in capsys.readouterr().err
+
+    def test_run_error_names_the_dataset(self, tmp_path, capsys):
+        (tmp_path / "flows.json").write_text(json.dumps({
+            "csv_path": "missing.csv",
+            "label_column": "label",
+            "positive_label_values": ["attack"],
+            "columns": [{"name": "f1", "kind": "numeric"}],
+            "name": "flows",
+        }))
+        config = tiny_config()
+        config["datasets"][1] = {"type": "manifest", "path": "flows.json",
+                                 "name": "flows"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "missing.csv" in err
+        assert "datasets[1] (flows)" in err
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         config = tiny_config()

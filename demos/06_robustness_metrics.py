@@ -3,6 +3,7 @@
 The adversarial search bisects along candidate directions (toward
 opposite-labeled training rows plus seeded random rays) to the nearest
 label flip; the result is an upper bound on the true minimal perturbation.
+All directions advance together, with one ``score`` call per search step.
 The Lipschitz statistic is the max score-difference/input-distance ratio
 over instance pairs, a lower bound on the true constant.
 

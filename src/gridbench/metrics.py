@@ -226,18 +226,6 @@ class RobustnessProbe:
     witness: np.ndarray  # a point past the boundary with the flipped label
 
 
-def _bisect_flip(score_at, base_label: int, threshold: float, lo: float,
-                 hi: float, tol: float) -> float:
-    """Shrink [lo, hi] with no flip at lo and a flip at hi down to tol."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if int(score_at(mid) >= threshold) != base_label:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def adversarial_robustness(model, x, candidates: np.ndarray,
                            n_random_dirs: int = 4, seed: int = 0,
                            tol: float = 1e-6) -> RobustnessProbe:
@@ -245,9 +233,11 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
 
     Directions: toward every opposite-labeled candidate (a flip is certain
     on that segment) plus seeded random unit directions with an expanding
-    search capped at 10x the data's bounding-box diagonal. The probe's
-    ``delta`` is an upper bound on the true minimal perturbation and its
-    ``witness`` is the flipped point at that distance.
+    search capped at 10x the data's bounding-box diagonal. All directions
+    advance together: each step of the expanding search and of the
+    bisection is one ``score`` call over the directions still open. The
+    probe's ``delta`` is an upper bound on the true minimal perturbation and
+    its ``witness`` is the flipped point at that distance.
     """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -257,45 +247,53 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     diameter = float(np.linalg.norm(extent.max(axis=0) - extent.min(axis=0)))
     cap = 10.0 * diameter if diameter > 0 else 10.0
 
-    directions: list[tuple[np.ndarray, float | None]] = []
+    # each direction's unit and the distance of a known flip (inf: none yet)
+    units: list[np.ndarray] = []
+    flip_at: list[float] = []
     cand_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
     for c, cl in zip(candidates, cand_labels):
         if int(cl) != base_label:
             dist = float(np.linalg.norm(c - x))
             if dist > 0:
-                directions.append(((c - x) / dist, dist))
+                units.append((c - x) / dist)
+                flip_at.append(dist)
     rng = np.random.default_rng(derive_seed(seed, "adv_dirs"))
     for _ in range(int(n_random_dirs)):
         u = rng.normal(size=x.shape[0])
         norm = np.linalg.norm(u)
         if norm > 0:
-            directions.append((u / norm, None))
+            units.append(u / norm)
+            flip_at.append(np.inf)
+    U = np.array(units)
+    hi = np.array(flip_at, dtype=np.float64)
+    lo = np.zeros_like(hi)
 
-    best: RobustnessProbe | None = None
-    for unit, known_flip in directions:
-        def score_at(t, _u=unit):
-            return float(model.score((x + t * _u)[None, :])[0])
+    def flips(points):
+        return (model.score(points) >= model.threshold).astype(np.int64) != base_label
 
-        if known_flip is None:
-            # expanding search for any flip along the ray
-            t, flip_at, prev = tol, None, 0.0
-            while t <= cap:
-                if int(score_at(t) >= model.threshold) != base_label:
-                    flip_at = t
-                    break
-                prev, t = t, t * 2.0
-            if flip_at is None:
-                continue
-            lo, hi = prev, flip_at
-        else:
-            lo, hi = 0.0, known_flip
-        found = _bisect_flip(score_at, base_label, model.threshold, lo, hi, tol)
-        if best is None or found < best.delta:
-            best = RobustnessProbe(delta=float(found), witness=x + found * unit)
+    # expanding search for any flip along the random rays: no flip at lo
+    t = tol
+    while t <= cap and (rows := np.flatnonzero(np.isinf(hi))).size:
+        flipped = flips(x + t * U[rows])
+        hi[rows[flipped]] = t
+        lo[rows[~flipped]] = t
+        t = t * 2.0
 
-    if best is None:
+    found = np.isfinite(hi)
+    if not found.any():
         raise NoFlipFound("no probed direction flipped the predicted label")
-    return best
+    U, lo, hi = U[found], lo[found], hi[found]
+
+    # bisect every [lo, hi] (no flip at lo, a flip at hi) down to tol
+    while (rows := np.flatnonzero(hi - lo > tol)).size:
+        mid = (lo[rows] + hi[rows]) / 2.0
+        flipped = flips(x + mid[:, None] * U[rows])
+        hi[rows[flipped]] = mid[flipped]
+        lo[rows[~flipped]] = mid[~flipped]
+
+    best = int(np.argmin(hi))  # the first of equal minima
+    delta = float(hi[best])
+    return RobustnessProbe(delta=delta, witness=x + delta * U[best])
 
 
 # --- Lipschitz lower bound ------------------------------------------------------

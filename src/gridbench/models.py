@@ -35,12 +35,8 @@ DEFAULT_HYPERPARAMETERS = {
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_training_inputs(X: np.ndarray, y: np.ndarray):
@@ -193,26 +189,48 @@ def _grow_tree(X, y, depth, max_depth, min_samples_split):
     return node
 
 
+def _flatten_tree(root: _TreeNode):
+    """Preorder node arrays (feature, threshold, left, right, value); a leaf
+    routes to itself, so every row can take the same number of steps."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(node):
+        i = len(value)
+        feature.append(max(node.feature, 0))
+        threshold.append(node.threshold)
+        left.append(i)
+        right.append(i)
+        value.append(node.score)
+        if not node.is_leaf:
+            left[i] = add(node.left)
+            right[i] = add(node.right)
+        return i
+
+    add(root)
+    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array(value, dtype=np.float64))
+
+
 class DecisionTreeModel(TrainedModel):
     kind = TREE
 
     def __init__(self, root: _TreeNode, input_dimension: int, **kwargs):
         super().__init__(input_dimension=input_dimension, **kwargs)
         self.root = root
+        (self._feature, self._threshold, self._left, self._right,
+         self._value) = _flatten_tree(root)
+        self._depth = self.depth()
 
     def score(self, X):
+        """Descends all rows together, one tree level per step."""
         X = self._check_dim(X)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        self._route(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node, X, idx, out):
-        if node.is_leaf:
-            out[idx] = node.score
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[go_left], out)
-        self._route(node.right, X, idx[~go_left], out)
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self._depth):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return self._value[node]
 
     def depth(self) -> int:
         def walk(node):

@@ -10,6 +10,7 @@ from gridbench.errors import (
 )
 from gridbench.explain import Background, build_explainer, sample_background
 from gridbench.metrics import (
+    RobustnessProbe,
     adversarial_robustness,
     auc_morf,
     classification_metrics,
@@ -19,6 +20,7 @@ from gridbench.metrics import (
     robustness_metrics_suite,
     sens_max,
 )
+from gridbench.seeding import derive_seed
 
 EXACT = build_explainer("blackbox", mode="exact")
 
@@ -229,6 +231,140 @@ class TestAdversarialRobustness:
         got = adversarial_robustness(model, np.array([0.3]), same_side,
                                      n_random_dirs=8, seed=1).delta
         assert got == pytest.approx(0.2, abs=1e-4)
+
+
+def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6):
+    """Direction-by-direction search with single-row score calls (oracle)."""
+    x = np.asarray(x, dtype=np.float64)
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    base_label = int(model.score(x[None, :])[0] >= model.threshold)
+    extent = np.vstack([candidates, x[None, :]])
+    diameter = float(np.linalg.norm(extent.max(axis=0) - extent.min(axis=0)))
+    cap = 10.0 * diameter if diameter > 0 else 10.0
+    directions = []
+    cand_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
+    for c, cl in zip(candidates, cand_labels):
+        if int(cl) != base_label:
+            dist = float(np.linalg.norm(c - x))
+            if dist > 0:
+                directions.append(((c - x) / dist, dist))
+    rng = np.random.default_rng(derive_seed(seed, "adv_dirs"))
+    for _ in range(int(n_random_dirs)):
+        u = rng.normal(size=x.shape[0])
+        norm = np.linalg.norm(u)
+        if norm > 0:
+            directions.append((u / norm, None))
+
+    def flips(t, unit):
+        return int(model.score((x + t * unit)[None, :])[0] >= model.threshold) != base_label
+
+    best = None
+    for unit, known_flip in directions:
+        if known_flip is None:
+            t, flip_at, prev = tol, None, 0.0
+            while t <= cap:
+                if flips(t, unit):
+                    flip_at = t
+                    break
+                prev, t = t, t * 2.0
+            if flip_at is None:
+                continue
+            lo, hi = prev, flip_at
+        else:
+            lo, hi = 0.0, known_flip
+        while hi - lo > tol:
+            mid = (lo + hi) / 2.0
+            if flips(mid, unit):
+                hi = mid
+            else:
+                lo = mid
+        if best is None or hi < best.delta:
+            best = RobustnessProbe(delta=float(hi), witness=x + hi * unit)
+    if best is None:
+        raise NoFlipFound("no probed direction flipped the predicted label")
+    return best
+
+
+class _CountingModel:
+    """Forwards score calls to a model, counting calls and rows."""
+
+    def __init__(self, model):
+        self.model = model
+        self.threshold = model.threshold
+        self.calls = 0
+        self.rows = 0
+
+    def score(self, X):
+        self.calls += 1
+        self.rows += len(X)
+        return self.model.score(X)
+
+
+class _BallStub:
+    """Label 1 only inside a small ball around ``center``."""
+
+    threshold = 0.5
+
+    def __init__(self, center, radius):
+        self.center = np.asarray(center, dtype=np.float64)
+        self.radius = float(radius)
+
+    def score(self, X):
+        dist = np.linalg.norm(np.asarray(X, dtype=np.float64) - self.center, axis=1)
+        return (dist <= self.radius).astype(np.float64)
+
+
+class TestBatchedRobustnessSearch:
+    @pytest.mark.parametrize("kind", ["logreg", "tree", "mlp", "stack"])
+    def test_matches_reference_with_tenfold_fewer_calls(
+            self, kind, trained_models, trained_stack, blob_matrices):
+        X_train, _, X_test, _ = blob_matrices
+        model = trained_stack if kind == "stack" else trained_models[kind]
+        batched, reference = _CountingModel(model), _CountingModel(model)
+        for i, x in enumerate(X_test[:6]):
+            probe = adversarial_robustness(batched, x, X_train,
+                                           n_random_dirs=4, seed=i)
+            oracle = _reference_probe(reference, x, X_train,
+                                      n_random_dirs=4, seed=i)
+            assert probe.delta == oracle.delta
+            assert np.array_equal(probe.witness, oracle.witness)
+        assert batched.rows == reference.rows
+        assert batched.calls * 10 <= reference.calls
+
+    def test_no_directions_raises(self):
+        model = AxisThresholdStub(cut=0.5)
+        same_side = np.array([[0.1], [0.2]])
+        with pytest.raises(NoFlipFound):
+            adversarial_robustness(model, np.array([0.3]), same_side,
+                                   n_random_dirs=0, seed=0)
+
+    def test_equal_distances_keep_the_first_direction(self):
+        # only feature 0 decides the label, so both rays flip at the same t
+        model = SingleFeatureStub(0, cut=0.5, input_dimension=2)
+        for first in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
+            mirrored = first * [1.0, -1.0]
+            probe = adversarial_robustness(model, np.zeros(2),
+                                           np.array([first, mirrored]),
+                                           n_random_dirs=0, seed=0)
+            assert np.sign(probe.witness[1]) == np.sign(first[1])
+            assert probe.witness[0] == pytest.approx(0.5, abs=1e-6)
+
+    def test_ray_without_flip_is_skipped(self):
+        # a random ray almost surely misses the ball; the candidate inside
+        # it supplies delta, and every ray runs its search up to the cap
+        model = _BallStub([1.0, 0.0, 0.0], radius=0.01)
+        x, candidates = np.zeros(3), np.array([[1.0, 0.0, 0.0]])
+        rays, plain = _CountingModel(model), _CountingModel(model)
+        probe = adversarial_robustness(rays, x, candidates,
+                                       n_random_dirs=4, seed=0)
+        alone = adversarial_robustness(plain, x, candidates,
+                                       n_random_dirs=0, seed=0)
+        assert probe.delta == alone.delta == pytest.approx(0.99, abs=1e-6)
+        assert np.array_equal(probe.witness, alone.witness)
+        cap, t, steps = 10.0 * 1.0, 1e-6, 0
+        while t <= cap:
+            steps, t = steps + 1, t * 2.0
+        assert rays.rows - plain.rows == 4 * steps
 
 
 class TestLipschitzLower:

@@ -11,6 +11,7 @@ from gridbench.errors import (
 from gridbench.metrics import auc_score
 from gridbench.models import (
     LogisticRegressionModel,
+    _sigmoid,
     mlp_loss_and_gradients,
     train,
     train_stack,
@@ -52,6 +53,53 @@ class TestDecisionTree:
         model = train("tree", X, y, {"max_depth": 1})
         assert model.root.feature == 0
         assert model.root.threshold == pytest.approx(1.5)
+
+
+    def test_level_descent_matches_node_walk(self):
+        # noisy labels grow a deep, unbalanced tree (leaves at many depths)
+        rng = np.random.default_rng(4)
+        X_fit = rng.normal(size=(300, 4))
+        y = (X_fit[:, 0] + X_fit[:, 1] * X_fit[:, 2] + rng.normal(size=300) > 0)
+        model = train("tree", X_fit, y.astype(int), {"max_depth": 6})
+
+        def walk(row):
+            node = model.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            return node.score
+
+        splits, stack = [], [model.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                splits.append((node.feature, node.threshold))
+                stack += [node.left, node.right]
+        assert model.depth() == 6 and len(splits) > 20
+        X = np.vstack([X_fit, rng.normal(size=(200, 4)) * 2.0])
+        at_split = X[rng.integers(0, X.shape[0], len(splits))]
+        for row, (feature, threshold) in zip(at_split, splits):
+            row[feature] = threshold  # exactly on the boundary: goes left
+        X = np.vstack([X, at_split])
+        expected = np.array([walk(row) for row in X])
+        assert model.score(X).tobytes() == expected.tobytes()
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(size=200_000) * 30.0,
+                        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0]])
+    assert _sigmoid(z).tobytes() == masked(z).tobytes()
+    grid = z[:1000].reshape(50, 20)
+    assert _sigmoid(grid).tobytes() == masked(grid).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
 
 class TestLogreg:

@@ -1,5 +1,8 @@
 import json
+import runpy
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +261,13 @@ class TestCli:
         record_path = tmp_path / "record.json"
         record_path.write_text(json.dumps(minimal_record()), encoding="utf-8")
         assert main(["validate", str(record_path)]) == 0
+
+    def test_python_dash_m_runs_the_cli(self, monkeypatch):
+        record_path = Path(__file__).parent / "fixtures" / "example_record.json"
+        monkeypatch.setattr(sys, "argv", ["gridbench", "validate", str(record_path)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("gridbench", run_name="__main__")
+        assert exc.value.code == 0
 
     def test_validate_bad_record_exits_1(self, tmp_path, capsys):
         record = minimal_record()

@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     store = DocumentStore(_store_root(args.store))
-    record = json.loads(store.load_bytes(args.study_id).decode("utf-8"))
+    record = store.load(args.study_id)
     for comp in record.get("comparison", []):
         if comp["metric_name"] == args.metric:
             print(f"metric: {comp['metric_name']}")

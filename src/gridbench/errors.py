@@ -117,7 +117,3 @@ class SchemaViolation(ValidationError):
 
 class NotFound(GridBenchError):
     pass
-
-
-class CorruptIndex(GridBenchError):
-    pass

@@ -190,7 +190,7 @@ def basic_join_explain(ens: StackedEnsemble, x, background: Background,
     A = np.column_stack(columns)
 
     score_background = Background(ens.first_level_scores(background.rows))
-    s_x = np.array([float(sub.score(x[None, :])[0]) for sub in ens.first_level])
+    s_x = ens.first_level_scores(x[None, :])[0]
     second_expl = shapley_explain(ens.second_level, s_x, score_background,
                                   mode=mode, n_samples=n_samples, seed=seed)
     assert second_expl.phi.shape == (m,)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     AllInstancesIdentical,
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .explain import Background
 from .seeding import derive_seed
+from .stats import average_ranks
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise SingleClassLabels("AUC needs both classes")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     u = ranks[labels == 1].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 

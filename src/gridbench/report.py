@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples
+from .store import COMPARED_METRICS
 
 SWARM_RADIUS = 4.0
 
@@ -191,22 +192,6 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
 
 # --- plain-text study summary -------------------------------------------------
 
-METRIC_COLUMNS = (
-    ("classification", "false_positive_rate"),
-    ("classification", "auc"),
-    ("classification", "balanced_accuracy"),
-    ("classification", "mcc"),
-    ("explanation", "explanation_error"),
-    ("explanation", "sens_max"),
-    ("explanation", "auc_morf"),
-    ("robustness", "mean_delta_adv"),
-    ("robustness", "lipschitz_lower"),
-    ("timings", "train_time"),
-    ("timings", "predict_time"),
-    ("timings", "explain_time"),
-)
-
-
 def _metric_value(entry: dict, family: str, name: str):
     value = entry.get(family, {}).get(name)
     return "-" if value is None else _fmt(value)
@@ -231,7 +216,7 @@ def text_summary(record: dict) -> str:
     out.append("metrics (per dataset, per algorithm):")
     header = "  {:<18} {:<12}".format("dataset", "algorithm") + "".join(
         " {:>12}".format(name if len(name) <= 12 else name[:12])
-        for _, name in METRIC_COLUMNS)
+        for _, name in COMPARED_METRICS)
     out.append(header)
     for ds in record["datasets"]:
         for algo in algorithms:
@@ -240,7 +225,7 @@ def text_summary(record: dict) -> str:
                 continue
             row = "  {:<18} {:<12}".format(ds["name"][:18], algo)
             row += "".join(" {:>12}".format(_metric_value(entry, fam, name))
-                           for fam, name in METRIC_COLUMNS)
+                           for fam, name in COMPARED_METRICS)
             out.append(row)
     out.append("")
 

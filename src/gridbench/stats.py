@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr, ndtri
 
 from .errors import AllPairsTied, ZeroDeviation
 
@@ -78,6 +78,19 @@ class ComparisonResult:
         }
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a vector, ties sharing the mean of their ranks."""
+    values = np.asarray(values).ravel()
+    order = np.argsort(values, kind="mergesort")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = starts.cumsum()[inverse]
+    count = np.r_[np.nonzero(starts)[0], starts.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def _paired(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -123,7 +136,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     if n == 0:
         raise AllPairsTied("every pair is tied; the test cannot be computed")
 
-    ranks = rankdata(np.abs(diff))
+    ranks = average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks[diff < 0].sum())
     statistic = min(w_plus, w_minus)
@@ -139,7 +152,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         if var <= 0:
             raise AllPairsTied("tie correction removed all variance")
         z = (statistic - mean + 0.5) / np.sqrt(var)
-        p = float(min(1.0, 2.0 * norm.cdf(z)))
+        p = float(min(1.0, 2.0 * ndtr(z)))
         method = "normal_approximation"
     return WilcoxonResult(statistic=statistic, p_value=min(1.0, p),
                           n_effective=int(n), method=method)
@@ -201,7 +214,7 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
     if prop_below <= 0.0 or prop_below >= 1.0:
         method = "percentile"
     else:
-        z0 = float(norm.ppf(prop_below))
+        z0 = float(ndtri(prop_below))
         # jackknife over both groups for the acceleration constant
         jack = []
         sum_a, sum_b = a.sum(), b.sum()
@@ -216,11 +229,11 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
             method = "percentile"
         else:
             accel = float(np.sum(deviations ** 3) / (6.0 * denom ** 1.5))
-            z_lo = norm.ppf(alpha / 2.0)
-            z_hi = norm.ppf(1.0 - alpha / 2.0)
+            z_lo = ndtri(alpha / 2.0)
+            z_hi = ndtri(1.0 - alpha / 2.0)
             def adjusted(z):
                 corrected = z0 + (z0 + z) / (1.0 - accel * (z0 + z))
-                return float(norm.cdf(corrected))
+                return float(ndtr(corrected))
             lo_q, hi_q = adjusted(z_lo), adjusted(z_hi)
             low = float(np.quantile(replicates, lo_q))
             high = float(np.quantile(replicates, hi_q))

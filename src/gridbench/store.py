@@ -3,12 +3,10 @@
 Documents are canonical JSON (sorted keys, 17-significant-digit floats) so
 reloading and re-serializing a record is byte-identical. The schema is
 closed: unknown fields are violations, which keeps silent drift impossible.
-Writers serialize through an advisory lock file; readers never block.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
 import platform
@@ -21,7 +19,7 @@ from pathlib import Path
 import jsonschema
 
 from .canonical import canonical_json, sha256_hex
-from .errors import CorruptIndex, GridBenchError, NotFound, SchemaViolation
+from .errors import GridBenchError, NotFound, SchemaViolation
 
 SCHEMA_VERSION = "1"
 
@@ -199,9 +197,26 @@ STUDY_RECORD_SCHEMA = _obj({
 # Fields a rerun cannot reproduce; everything else feeds the digest.
 DIGEST_EXCLUDED_FIELDS = ("study_id", "created_at", "environment", "timings",
                           "reproducibility_digest")
+# (family, name) of every per-cell metric the comparison block and the
+# summary table cover, in their order.
+COMPARED_METRICS = (
+    ("classification", "false_positive_rate"),
+    ("classification", "auc"),
+    ("classification", "balanced_accuracy"),
+    ("classification", "mcc"),
+    ("explanation", "explanation_error"),
+    ("explanation", "sens_max"),
+    ("explanation", "auc_morf"),
+    ("robustness", "mean_delta_adv"),
+    ("robustness", "lipschitz_lower"),
+    ("timings", "train_time"),
+    ("timings", "predict_time"),
+    ("timings", "explain_time"),
+)
 # Wall-clock metrics stay in the record (their comparison is itself a
 # reported result) but never enter the digest.
-TIMING_METRIC_NAMES = ("train_time", "predict_time", "explain_time")
+TIMING_METRIC_NAMES = tuple(name for family, name in COMPARED_METRICS
+                            if family == "timings")
 
 
 @dataclass(frozen=True)
@@ -298,10 +313,11 @@ def reproducibility_digest(record: dict) -> str:
 
 
 class DocumentStore:
-    """Directory of schema-validated study records plus an index file.
+    """Directory of schema-validated study records, one file per study.
 
-    Layout: <root>/records/<study_id>.json, <root>/index.json,
-    <root>/schema/<version>.json.
+    Layout: <root>/records/<study_id>.json, <root>/schema/<version>.json.
+    Each record appears through a single atomic rename, so concurrent
+    writers of different studies share no file and need no lock.
     """
 
     def __init__(self, root):
@@ -314,10 +330,6 @@ class DocumentStore:
         if not schema_path.exists():
             self._atomic_write(schema_path,
                                canonical_json(STUDY_RECORD_SCHEMA).encode("utf-8"))
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
 
     def _atomic_write(self, path: Path, data: bytes):
         tmp = path.with_name(path.name + ".tmp")
@@ -332,21 +344,11 @@ class DocumentStore:
         if violations:
             raise SchemaViolation(violations)
         study_id = record["study_id"]
-        if (self.records_dir / f"{study_id}.json").exists():
+        path = self.records_dir / f"{study_id}.json"
+        if path.exists():
             raise GridBenchError(
                 f"record {study_id} already exists; records are immutable")
-        payload = canonical_json(record).encode("utf-8")
-        lock_path = self.root / ".lock"
-        with open(lock_path, "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                self._atomic_write(self.records_dir / f"{study_id}.json", payload)
-                index = self._load_index(rebuild_on_corruption=True)
-                index["records"][study_id] = self._summary(record)
-                self._atomic_write(self.index_path,
-                                   canonical_json(index).encode("utf-8"))
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+        self._atomic_write(path, canonical_json(record).encode("utf-8"))
         return study_id
 
     @staticmethod
@@ -369,41 +371,20 @@ class DocumentStore:
     def load(self, study_id: str) -> dict:
         return json.loads(self.load_bytes(study_id).decode("utf-8"))
 
-    def _load_index(self, rebuild_on_corruption: bool = False) -> dict:
-        if not self.index_path.exists():
-            return self.rebuild_index(write=False)
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if not isinstance(index, dict) or "records" not in index:
-                raise ValueError("index missing 'records'")
-            return index
-        except (ValueError, OSError) as exc:
-            if rebuild_on_corruption:
-                return self.rebuild_index(write=False)
-            raise CorruptIndex(f"index unreadable: {exc}") from exc
-
-    def rebuild_index(self, write: bool = True) -> dict:
-        """Reconstruct the index from the record documents on disk."""
-        index = {"records": {}}
-        for path in sorted(self.records_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
-                continue
-            index["records"][record.get("study_id", path.stem)] = self._summary(record)
-        if write:
-            self._atomic_write(self.index_path, canonical_json(index).encode("utf-8"))
-        return index
-
     def query(self, dataset_name: str | None = None, model_kind: str | None = None,
               date_range: tuple[str, str] | None = None) -> list[dict]:
-        """Record summaries matching every given filter; never mutates."""
-        try:
-            index = self._load_index()
-        except CorruptIndex:
-            index = self.rebuild_index(write=False)
+        """Summaries of the records matching every given filter; never mutates.
+
+        Reads every record file; files that do not parse (such as a partial
+        copy) are skipped, and a writer's stranded ``*.json.tmp`` never
+        matches.
+        """
         out = []
-        for summary in index["records"].values():
+        for path in self.records_dir.glob("*.json"):
+            try:
+                summary = self._summary(json.loads(path.read_text(encoding="utf-8")))
+            except ValueError:
+                continue
             if dataset_name is not None and dataset_name not in summary["dataset_names"]:
                 continue
             if model_kind is not None and model_kind not in summary["model_kinds"]:

@@ -37,6 +37,7 @@ from .report import EstimationPlotSpec, gardner_altman_svg, text_summary
 from .seeding import derive_seed
 from .stats import compare
 from .store import (
+    COMPARED_METRICS,
     LD_CONTEXT,
     SCHEMA_VERSION,
     DocumentStore,
@@ -44,21 +45,6 @@ from .store import (
     new_study_id,
     reproducibility_digest,
     utc_timestamp,
-)
-
-COMPARED_METRICS = (
-    ("classification", "false_positive_rate"),
-    ("classification", "auc"),
-    ("classification", "balanced_accuracy"),
-    ("classification", "mcc"),
-    ("explanation", "explanation_error"),
-    ("explanation", "sens_max"),
-    ("explanation", "auc_morf"),
-    ("robustness", "mean_delta_adv"),
-    ("robustness", "lipschitz_lower"),
-    ("timings", "train_time"),
-    ("timings", "predict_time"),
-    ("timings", "explain_time"),
 )
 
 METRICS_DEFAULTS = {
@@ -118,12 +104,12 @@ def validate_config(config: dict) -> dict:
     _require(isinstance(fraction, (int, float)) and 0 < fraction < 1,
              "split.train_fraction must be in (0, 1)")
 
-    prep = dict(config.get("preprocessing", {}))
-    for key, default in (("use_onehot", True), ("use_minmax", True),
-                         ("use_pca", False), ("pca_components", None)):
-        prep.setdefault(key, default)
-    if prep["use_pca"]:
-        _require(isinstance(prep["pca_components"], int) and prep["pca_components"] >= 1,
+    try:
+        prep = PipelineConfig(**config.get("preprocessing", {}))
+    except TypeError as exc:
+        raise InvalidConfig(f"preprocessing: {exc}") from exc
+    if prep.use_pca:
+        _require(isinstance(prep.pca_components, int) and prep.pca_components >= 1,
                  "preprocessing.pca_components must be >= 1 when use_pca is set")
 
     algorithms = {}
@@ -157,7 +143,17 @@ def validate_config(config: dict) -> dict:
         algorithms[slot] = algo
 
     metrics = dict(METRICS_DEFAULTS)
-    metrics.update(config.get("metrics", {}))
+    user_metrics = config.get("metrics", {})
+    _require(isinstance(user_metrics, dict), "metrics must be an object")
+    for key, value in user_metrics.items():
+        _require(key in METRICS_DEFAULTS, f"unknown metrics key {key!r}")
+        default = METRICS_DEFAULTS[key]
+        types = (int, float) if isinstance(default, float) else type(default)
+        _require(isinstance(value, types)
+                 and isinstance(value, bool) == isinstance(default, bool),
+                 f"metrics.{key} must be of the type of its default "
+                 f"{default!r}, got {value!r}")
+    metrics.update(user_metrics)
     if metrics["statistics"]:
         _require(len(norm_datasets) >= 2,
                  "statistics need >= 2 datasets (set metrics.statistics=false "
@@ -171,7 +167,7 @@ def validate_config(config: dict) -> dict:
         "master_seed": config["master_seed"],
         "datasets": norm_datasets,
         "split": split_cfg,
-        "preprocessing": prep,
+        "preprocessing": prep.to_dict(),
         "algorithm_a": algorithms["algorithm_a"],
         "algorithm_b": algorithms["algorithm_b"],
         "metrics": metrics,

@@ -1,10 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+import gridbench
 from gridbench.errors import AllPairsTied, ZeroDeviation
 from gridbench.stats import (
+    average_ranks,
     bootstrap_ci_mean_diff,
     cohens_d,
     compare,
@@ -45,6 +52,26 @@ def wilcoxon_brute_force(a, b):
         if min(wp, total_rank - wp) <= statistic + 1e-9:
             favorable += 1
     return statistic, favorable / 2.0 ** n
+
+
+class TestAverageRanks:
+    def test_matches_scipy_rankdata_on_tied_vectors(self):
+        rng = np.random.default_rng(5)
+        vectors = [[3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [0.0] * 7, [2.5], [-0.0, 0.0, 1.0]]
+        vectors += [rng.integers(0, 4, size=n).astype(float) for n in range(1, 40)]
+        vectors += [np.round(rng.normal(size=50), 1) for _ in range(20)]
+        for values in vectors:
+            ranks = average_ranks(values)
+            assert ranks.tobytes() == rankdata(values).tobytes()
+            assert ranks.tolist() == _midranks(list(values))
+
+    def test_import_does_not_load_scipy_stats(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(gridbench.__file__).resolve().parents[1]))
+        probe = "import sys, gridbench; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestWilcoxon:

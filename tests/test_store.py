@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -101,23 +102,32 @@ class TestQueryAndIndex:
         assert len(store.query(date_range=("2025-01-01", "2027-01-01"))) == 1
         assert store.query(date_range=("2027-01-01", "2028-01-01")) == []
 
-    def test_corrupt_index_rebuilt_on_demand(self, tmp_path):
+    def test_save_writes_only_the_record(self, tmp_path):
         store = DocumentStore(tmp_path / "store")
         study_id = store.save(minimal_record())
-        store.index_path.write_text("{ this is not json")
-        summaries = store.query()
-        assert [s["study_id"] for s in summaries] == [study_id]
+        assert sorted(p.name for p in store.root.iterdir()) == ["records", "schema"]
+        assert [p.name for p in store.records_dir.iterdir()] == [f"{study_id}.json"]
+
+    def test_query_lists_a_record_copied_in(self, tmp_path):
+        store_a = DocumentStore(tmp_path / "a")
+        copied_id = store_a.save(minimal_record(
+            study_id="11111111-0000-4000-8000-000000000000",
+            created_at="2026-02-02T00:00:00.000000Z"))
+        store_b = DocumentStore(tmp_path / "b")
+        own_id = store_b.save(minimal_record())
+        shutil.copy(store_a.records_dir / f"{copied_id}.json", store_b.records_dir)
+        assert [s["study_id"] for s in store_b.query()] == [own_id, copied_id]
+        assert store_b.load(copied_id) == store_a.load(copied_id)
 
     def test_crash_between_temp_write_and_rename(self, tmp_path):
         store = DocumentStore(tmp_path / "store")
         study_id = store.save(minimal_record())
-        # a stranded temp file from a crashed writer must not break anything
-        stranded = store.records_dir / "zzz.json.tmp"
-        stranded.write_text("partial garbage")
-        os.unlink(store.index_path)
-        rebuilt = store.rebuild_index()
-        assert study_id in rebuilt["records"]
-        assert store.load(study_id)
+        # neither a stranded temp file from a crashed writer nor a record
+        # file that does not parse may break listing or loading
+        (store.records_dir / "zzz.json.tmp").write_text("partial garbage")
+        (store.records_dir / "bad.json").write_text("{ this is not json")
+        assert [s["study_id"] for s in store.query()] == [study_id]
+        assert store.load(study_id) == minimal_record()
 
 
 class TestReproducibilityDigest:

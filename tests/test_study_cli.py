@@ -257,6 +257,31 @@ class TestCli:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", str(config_path)]) == 1
 
+    def _assert_rejected_before_work(self, config, tmp_path, capsys, match):
+        with pytest.raises(InvalidConfig, match=match):
+            validate_config(config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(config_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_preprocessing_typo_exits_1(self, tmp_path, capsys):
+        config = tiny_config()
+        config["preprocessing"]["use_pcaa"] = True
+        self._assert_rejected_before_work(config, tmp_path, capsys, "use_pcaa")
+
+    def test_metrics_typo_or_wrong_type_exits_1(self, tmp_path, capsys):
+        config = tiny_config()
+        config["metrics"]["explain_instances"] = "ten"
+        self._assert_rejected_before_work(config, tmp_path, capsys,
+                                          "explain_instances")
+        for key, value in (("explain_instance", 10), ("statistics", 1),
+                           ("morf_k", True), ("sens_radius", "0.01")):
+            config = tiny_config()
+            config["metrics"][key] = value
+            with pytest.raises(InvalidConfig, match=key):
+                validate_config(config)
+
     def test_validate_fixture_exits_0(self, tmp_path):
         record_path = tmp_path / "record.json"
         record_path.write_text(json.dumps(minimal_record()), encoding="utf-8")

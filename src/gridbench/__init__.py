@@ -35,7 +35,6 @@ from .metrics import (  # noqa: F401
     ClassificationMetrics,
     ExplanationMetrics,
     RobustnessMetrics,
-    TimingMetrics,
     adversarial_robustness,
     auc_morf,
     classification_metrics,

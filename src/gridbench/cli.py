@@ -4,7 +4,9 @@ Subcommands: ``run <config>``, ``compare <study_id> <metric>``,
 ``report <study_id> --out <dir>``, ``datasets list <store>``, and
 ``validate <record.json>``. Exit codes: 0 success, 1 validation error,
 2 runtime error. Diagnostics go to stderr; machine output goes to files.
-The GRIDBENCH_STORE environment variable overrides the store root.
+The GRIDBENCH_STORE environment variable overrides the store root; the
+read commands (``compare``, ``report``, ``datasets list``) need an existing
+store and never create one.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from .store import DocumentStore, validate
 from .study import run_study, write_reports
 
 
-def _store_root(explicit: str | None) -> Path:
+def _open_store(explicit: str | None) -> DocumentStore:
+    """The existing store at GRIDBENCH_STORE or the given root; a read
+    never creates one."""
     root = os.environ.get("GRIDBENCH_STORE") or explicit
     if not root:
         raise ValidationError("no store root given (argument or GRIDBENCH_STORE)")
-    return Path(root)
+    root = Path(root)
+    if not (root / "records").is_dir():
+        raise ValidationError(f"no study store at {root} (no records/ directory)")
+    return DocumentStore(root)
 
 
 def _cmd_run(args) -> int:
@@ -44,7 +51,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    store = DocumentStore(_store_root(args.store))
+    store = _open_store(args.store)
     record = store.load(args.study_id)
     for comp in record.get("comparison", []):
         if comp["metric_name"] == args.metric:
@@ -70,7 +77,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    store = DocumentStore(_store_root(args.store))
+    store = _open_store(args.store)
     record = store.load(args.study_id)
     written = write_reports(record, Path(args.out))
     for path in written:
@@ -79,7 +86,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_datasets_list(args) -> int:
-    store = DocumentStore(Path(args.store))
+    store = _open_store(args.store)
     seen = {}
     for summary in store.query():
         for name, digest in zip(summary["dataset_names"], summary["dataset_hashes"]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -163,18 +163,6 @@ class SyntheticSpec:
         if self.d_categorical > 0 and self.categories_per_feature < 2:
             raise InvalidSpec("categorical features need >= 2 categories")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d_numeric": self.d_numeric,
-            "d_categorical": self.d_categorical,
-            "anomaly_fraction": self.anomaly_fraction,
-            "class_separation": self.class_separation,
-            "categories_per_feature": self.categories_per_feature,
-            "name": self.name,
-            "purdue_level": self.purdue_level,
-        }
-
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Seeded synthetic dataset: two Gaussian blobs plus class-conditional categories.
@@ -224,7 +212,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         labels=labels,
         descriptors=tuple(descriptors),
         purdue_level=spec.purdue_level,
-        metadata={"synthetic_spec": spec.to_dict(), "generator_seed": int(seed)},
+        metadata={"synthetic_spec": asdict(spec), "generator_seed": int(seed)},
     )
 
 
@@ -339,11 +327,8 @@ def load_csv(manifest_path) -> Dataset:
     descriptors = []
     for j, (name, kind) in enumerate(zip(feature_names, kinds)):
         if kind == CATEGORICAL:
-            seen: list[str] = []
-            for value in features[:, j]:
-                if value not in seen:
-                    seen.append(value)
-            descriptors.append(FeatureDescriptor(name, CATEGORICAL, tuple(seen)))
+            descriptors.append(FeatureDescriptor(
+                name, CATEGORICAL, tuple(dict.fromkeys(features[:, j]))))
         else:
             descriptors.append(FeatureDescriptor(name, NUMERIC))
 

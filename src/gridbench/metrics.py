@@ -1,4 +1,4 @@
-"""Classification, explainability, robustness, and timing metrics.
+"""Classification, explainability and robustness metrics.
 
 Explanation metrics consume an explainer callable with the signature
 ``explain(model, x, background, seed) -> Explanation`` (see
@@ -30,17 +30,7 @@ class ClassificationMetrics:
     auc: float
     balanced_accuracy: float
     mcc: float
-    confusion: tuple[int, int, int, int]  # (tp, fp, tn, fn)
-
-    def to_dict(self) -> dict:
-        tp, fp, tn, fn = self.confusion
-        return {
-            "false_positive_rate": self.false_positive_rate,
-            "auc": self.auc,
-            "balanced_accuracy": self.balanced_accuracy,
-            "mcc": self.mcc,
-            "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-        }
+    confusion: dict[str, int]  # {"tp", "fp", "tn", "fn"}
 
 
 @dataclass(frozen=True)
@@ -51,44 +41,13 @@ class ExplanationMetrics:
     auc_morf: float
     morf_features_evaluated: int
 
-    def to_dict(self) -> dict:
-        return {
-            "explanation_error": self.explanation_error,
-            "sens_max": self.sens_max,
-            "sens_radius": self.sens_radius,
-            "auc_morf": self.auc_morf,
-            "morf_features_evaluated": self.morf_features_evaluated,
-        }
-
 
 @dataclass(frozen=True)
 class RobustnessMetrics:
-    delta_adv: tuple[float, ...]
+    delta_adv: list[float]
     mean_delta_adv: float | None
     lipschitz_lower: float
     pairs_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_adv": list(self.delta_adv),
-            "mean_delta_adv": self.mean_delta_adv,
-            "lipschitz_lower": self.lipschitz_lower,
-            "pairs_evaluated": self.pairs_evaluated,
-        }
-
-
-@dataclass(frozen=True)
-class TimingMetrics:
-    train_time: float
-    predict_time: float
-    explain_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "train_time": self.train_time,
-            "predict_time": self.predict_time,
-            "explain_time": self.explain_time,
-        }
 
 
 # --- classification ---------------------------------------------------------
@@ -134,7 +93,7 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
         auc=auc_score(scores, labels),
         balanced_accuracy=float(balanced),
         mcc=float(mcc),
-        confusion=(tp, fp, tn, fn),
+        confusion={"tp": tp, "fp": fp, "tn": tn, "fn": fn},
     )
 
 
@@ -383,7 +342,7 @@ def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarra
     bound, pairs = lipschitz_lower(model, instances, max_pairs,
                                    seed=derive_seed(seed, "lip"))
     return RobustnessMetrics(
-        delta_adv=tuple(float(v) for v in deltas),
+        delta_adv=[float(v) for v in deltas],
         mean_delta_adv=float(np.mean(deltas)) if deltas else None,
         lipschitz_lower=bound,
         pairs_evaluated=pairs,

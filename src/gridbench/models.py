@@ -3,7 +3,7 @@
 All trainers are pure functions of (data, hyperparameters, seed): full-batch
 gradient descent (no stochastic batching), zero or seeded-uniform init, and
 deterministic tie-breaking in the tree builder. Scores are probability-like
-values in [0, 1]; labels threshold the score (default 0.5).
+values in [0, 1]; labels threshold the score at 0.5.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ class TrainedModel:
     """Common scorer surface; subclasses hold kind-specific parameters."""
 
     kind: str = "base"
+    threshold: float = 0.5
 
-    def __init__(self, input_dimension: int, threshold: float, train_seed: int,
-                 hyperparameters: dict):
+    def __init__(self, input_dimension: int, train_seed: int, hyperparameters: dict):
         self.input_dimension = int(input_dimension)
-        self.threshold = float(threshold)
         self.train_seed = int(train_seed)
         self.hyperparameters = dict(hyperparameters)
 
@@ -100,7 +99,7 @@ class LogisticRegressionModel(TrainedModel):
             [canonical_float(self.bias)]
 
 
-def _train_logreg(X, y, hyper, seed, threshold):
+def _train_logreg(X, y, hyper, seed):
     lr, epochs, l2 = hyper["learning_rate"], hyper["epochs"], hyper["l2"]
     n, d = X.shape
     w = np.zeros(d)
@@ -112,8 +111,7 @@ def _train_logreg(X, y, hyper, seed, threshold):
         grad_b = residual.sum()
         w -= lr * grad_w
         b -= lr * grad_b
-    return LogisticRegressionModel(w, b, threshold=threshold, train_seed=seed,
-                                   hyperparameters=hyper)
+    return LogisticRegressionModel(w, b, train_seed=seed, hyperparameters=hyper)
 
 
 # --- CART decision tree -----------------------------------------------------
@@ -253,11 +251,11 @@ class DecisionTreeModel(TrainedModel):
         return tokens
 
 
-def _train_tree(X, y, hyper, seed, threshold):
+def _train_tree(X, y, hyper, seed):
     root = _grow_tree(X, y.astype(np.float64), 0, int(hyper["max_depth"]),
                       int(hyper["min_samples_split"]))
-    return DecisionTreeModel(root, input_dimension=X.shape[1], threshold=threshold,
-                             train_seed=seed, hyperparameters=hyper)
+    return DecisionTreeModel(root, input_dimension=X.shape[1], train_seed=seed,
+                             hyperparameters=hyper)
 
 
 # --- multi-layer perceptron -------------------------------------------------
@@ -284,29 +282,34 @@ class MLPModel(TrainedModel):
         return tokens
 
 
-def mlp_loss_and_gradients(params: dict, X: np.ndarray, y: np.ndarray):
-    """Cross-entropy loss and analytic gradients for a 1-hidden-layer net.
+def mlp_gradients(params: dict, X: np.ndarray, y: np.ndarray) -> dict:
+    """Analytic cross-entropy gradients for a 1-hidden-layer net.
 
-    ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2 (float). Returns
-    (loss, grads) with grads keyed like params. Exposed so the gradient
-    check can compare against central finite differences.
+    ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2 (float); the gradients
+    are keyed like params.
     """
     w1, b1, w2, b2 = params["w1"], params["b1"], params["w2"], params["b2"]
-    n = X.shape[0]
     hidden = np.tanh(X @ w1 + b1)
-    logits = hidden @ w2 + b2
+    dz = (_sigmoid(hidden @ w2 + b2) - y) / X.shape[0]
+    d_hidden = np.outer(dz, w2) * (1.0 - hidden ** 2)
+    return {"w1": X.T @ d_hidden, "b1": d_hidden.sum(axis=0),
+            "w2": hidden.T @ dz, "b2": float(dz.sum())}
+
+
+def mlp_loss_and_gradients(params: dict, X: np.ndarray, y: np.ndarray):
+    """(loss, grads): the mean cross-entropy loss and ``mlp_gradients``.
+
+    Exposed so the gradient check can compare against central finite
+    differences of the loss.
+    """
+    hidden = np.tanh(X @ params["w1"] + params["b1"])
+    logits = hidden @ params["w2"] + params["b2"]
     # stable binary CE on logits: mean(softplus(z) - y*z)
     loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    dz = (_sigmoid(logits) - y) / n
-    grad_w2 = hidden.T @ dz
-    grad_b2 = float(dz.sum())
-    d_hidden = np.outer(dz, w2) * (1.0 - hidden ** 2)
-    grad_w1 = X.T @ d_hidden
-    grad_b1 = d_hidden.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    return loss, mlp_gradients(params, X, y)
 
 
-def _train_mlp(X, y, hyper, seed, threshold):
+def _train_mlp(X, y, hyper, seed):
     width = int(hyper["hidden_width"])
     lr = hyper["learning_rate"]
     scale = hyper["init_scale"]
@@ -319,20 +322,20 @@ def _train_mlp(X, y, hyper, seed, threshold):
     }
     yf = y.astype(np.float64)
     for _ in range(int(hyper["epochs"])):
-        _, grads = mlp_loss_and_gradients(params, X, yf)
+        grads = mlp_gradients(params, X, yf)
         params["w1"] = params["w1"] - lr * grads["w1"]
         params["b1"] = params["b1"] - lr * grads["b1"]
         params["w2"] = params["w2"] - lr * grads["w2"]
         params["b2"] = params["b2"] - lr * grads["b2"]
     return MLPModel(params["w1"], params["b1"], params["w2"], params["b2"],
-                    threshold=threshold, train_seed=seed, hyperparameters=hyper)
+                    train_seed=seed, hyperparameters=hyper)
 
 
 _TRAINERS = {LOGREG: _train_logreg, TREE: _train_tree, MLP: _train_mlp}
 
 
 def train(kind: str, X: np.ndarray, y: np.ndarray, hyper: dict | None = None,
-          seed: int = 0, threshold: float = 0.5) -> TrainedModel:
+          seed: int = 0) -> TrainedModel:
     """Train one classifier; pure function of (data, hyper, seed)."""
     if kind not in _TRAINERS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -341,7 +344,7 @@ def train(kind: str, X: np.ndarray, y: np.ndarray, hyper: dict | None = None,
     _check_training_inputs(X, y)
     merged = dict(DEFAULT_HYPERPARAMETERS[kind])
     merged.update(hyper or {})
-    return _TRAINERS[kind](X, y, merged, int(seed), threshold)
+    return _TRAINERS[kind](X, y, merged, int(seed))
 
 
 # --- stacked ensemble -------------------------------------------------------
@@ -387,8 +390,8 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def train_stack(first_specs, second_spec, X, y, folds: int = 5, seed: int = 0,
-                threshold: float = 0.5) -> StackedEnsemble:
+def train_stack(first_specs, second_spec, X, y, folds: int = 5,
+                seed: int = 0) -> StackedEnsemble:
     """Train a stacking ensemble with an out-of-fold second level.
 
     ``first_specs`` is a list of (kind, hyper); ``second_spec`` one
@@ -413,16 +416,16 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5, seed: int = 0,
             continue
         for i, (kind, hyper) in enumerate(first_specs):
             fold_model = train(kind, X[~holdout], y[~holdout], hyper,
-                               derive_seed(seed, f"stack.oof.{f}", i), threshold)
+                               derive_seed(seed, f"stack.oof.{f}", i))
             oof[holdout, i] = fold_model.score(X[holdout])
 
     first_level = [
-        train(kind, X, y, hyper, derive_seed(seed, "stack.first", i), threshold)
+        train(kind, X, y, hyper, derive_seed(seed, "stack.first", i))
         for i, (kind, hyper) in enumerate(first_specs)
     ]
     second_kind, second_hyper = second_spec
     second_level = train(second_kind, oof, y, second_hyper,
-                         derive_seed(seed, "stack.second"), threshold)
+                         derive_seed(seed, "stack.second"))
 
     hyper_map = {
         "first_level": [{"kind": k, "hyper": first_level[i].hyperparameters}
@@ -433,6 +436,6 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5, seed: int = 0,
     }
     return StackedEnsemble(
         first_level, second_level, folds, assignment,
-        input_dimension=X.shape[1], threshold=threshold, train_seed=int(seed),
+        input_dimension=X.shape[1], train_seed=int(seed),
         hyperparameters=hyper_map,
     )

@@ -25,14 +25,6 @@ class PipelineConfig:
     use_pca: bool = False
     pca_components: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "use_onehot": self.use_onehot,
-            "use_minmax": self.use_minmax,
-            "use_pca": self.use_pca,
-            "pca_components": self.pca_components,
-        }
-
 
 @dataclass(frozen=True)
 class FittedPipeline:
@@ -106,12 +98,8 @@ def fit_pipeline(train: Dataset, config: PipelineConfig) -> FittedPipeline:
         if desc.kind == NUMERIC:
             width += 1
         elif config.use_onehot:
-            seen: list[str] = []
-            for value in train.features[:, j]:
-                if value not in seen:
-                    seen.append(value)
-            onehot_categories[j] = tuple(seen)
-            width += len(seen)
+            onehot_categories[j] = tuple(dict.fromkeys(train.features[:, j]))
+            width += len(onehot_categories[j])
 
     partial = FittedPipeline(
         config=config,

@@ -9,7 +9,7 @@ difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,10 +29,6 @@ class WilcoxonResult:
     n_effective: int
     method: str  # "exact" | "normal_approximation"
 
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "p_value": self.p_value,
-                "n_effective": self.n_effective, "method": self.method}
-
 
 @dataclass(frozen=True)
 class BootstrapInterval:
@@ -42,11 +38,6 @@ class BootstrapInterval:
     n_resamples: int
     method: str  # "bca" | "percentile" | "degenerate"
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"low": self.low, "high": self.high, "level": self.level,
-                "n_resamples": self.n_resamples, "method": self.method,
-                "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -61,21 +52,13 @@ class ComparisonResult:
     bootstrap_ci: BootstrapInterval
 
     def to_dict(self) -> dict:
+        doc = asdict(self)
         # incomputable tests keep the object shape with null members so the
         # stored document validates against the closed schema
-        wilcoxon = self.wilcoxon.to_dict() if self.wilcoxon else {
-            "statistic": None, "p_value": None, "n_effective": None, "method": None}
-        return {
-            "metric_name": self.metric_name,
-            "point_estimate": self.point_estimate,
-            "wilcoxon": wilcoxon,
-            "wilcoxon_incomputable": self.wilcoxon_incomputable,
-            "cohens_d": self.cohens_d,
-            "cohens_d_incomputable": self.cohens_d_incomputable,
-            "effect_label": self.effect_label,
-            "bootstrap_ci": self.bootstrap_ci.to_dict(),
-            "effect_size_buckets": dict(EFFECT_SIZE_BUCKETS),
-        }
+        if self.wilcoxon is None:
+            doc["wilcoxon"] = dict.fromkeys(f.name for f in fields(WilcoxonResult))
+        doc["effect_size_buckets"] = dict(EFFECT_SIZE_BUCKETS)
+        return doc
 
 
 def average_ranks(values) -> np.ndarray:

@@ -227,15 +227,6 @@ class EnvironmentInfo:
     os: str
     artifact_version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "cpu_model": self.cpu_model,
-            "logical_cores": self.logical_cores,
-            "ram_bytes": self.ram_bytes,
-            "os": self.os,
-            "artifact_version": self.artifact_version,
-        }
-
 
 def _read_cpu_model() -> str:
     try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import InvalidConfig
 from .explain import build_explainer, sample_background
 from .metrics import (
-    TimingMetrics,
     classification_metrics,
     explanation_metrics_suite,
     robustness_metrics_suite,
@@ -167,7 +167,7 @@ def validate_config(config: dict) -> dict:
         "master_seed": config["master_seed"],
         "datasets": norm_datasets,
         "split": split_cfg,
-        "preprocessing": prep.to_dict(),
+        "preprocessing": asdict(prep),
         "algorithm_a": algorithms["algorithm_a"],
         "algorithm_b": algorithms["algorithm_b"],
         "metrics": metrics,
@@ -295,11 +295,11 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
         result["metrics"].append({
             "algorithm": slot,
             "dataset": ds.name,
-            "classification": cls.to_dict(),
-            "explanation": expl.to_dict(),
-            "robustness": robust.to_dict(),
-            "timings": TimingMetrics(train_time, predict_time,
-                                     explain_time).to_dict(),
+            "classification": asdict(cls),
+            "explanation": asdict(expl),
+            "robustness": asdict(robust),
+            "timings": {"train_time": train_time, "predict_time": predict_time,
+                        "explain_time": explain_time},
         })
     return result
 
@@ -376,7 +376,7 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
         "metrics_config": {k: config["metrics"][k] for k in METRICS_DEFAULTS},
         "metrics": [m for r in results for m in r["metrics"]],
         "comparison": [],
-        "environment": capture_environment().to_dict(),
+        "environment": asdict(capture_environment()),
         "timings": {"total_seconds": 0.0},
     }
     if config["metrics"]["statistics"]:

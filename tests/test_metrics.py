@@ -77,7 +77,7 @@ class TestClassificationMetrics:
         labels[:2] = [0, 1]
         scores = rng.uniform(size=50)
         m = classification_metrics(scores, labels)
-        assert sum(m.confusion) == 50
+        assert sum(m.confusion.values()) == 50
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassLabels):

@@ -104,7 +104,7 @@ def test_sigmoid_matches_masked_form_bitwise():
 
 class TestLogreg:
     def test_zero_parameters_score_half(self):
-        model = LogisticRegressionModel(np.zeros(3), 0.0, threshold=0.5,
+        model = LogisticRegressionModel(np.zeros(3), 0.0,
                                         train_seed=0, hyperparameters={})
         rng = np.random.default_rng(1)
         assert np.allclose(model.score(rng.normal(size=(20, 3))), 0.5)

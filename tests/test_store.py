@@ -1,14 +1,27 @@
 import json
 import os
 import shutil
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from gridbench.canonical import canonical_json
 from gridbench.errors import GridBenchError, NotFound, SchemaViolation
+from gridbench.metrics import (
+    ClassificationMetrics,
+    ExplanationMetrics,
+    RobustnessMetrics,
+    classification_metrics,
+    robustness_metrics_suite,
+)
+from gridbench.preprocess import PipelineConfig
+from gridbench.stats import BootstrapInterval, ComparisonResult, WilcoxonResult
 from gridbench.store import (
+    STUDY_RECORD_SCHEMA,
     DocumentStore,
+    EnvironmentInfo,
     capture_environment,
     reproducibility_digest,
     validate,
@@ -179,3 +192,47 @@ class TestCaptureEnvironment:
         assert env.cpu_model == "unknown"
         assert env.ram_bytes == 0
         assert env.logical_cores == 0
+
+
+_RECORD = STUDY_RECORD_SCHEMA["properties"]
+_CELL = _RECORD["metrics"]["items"]["properties"]
+_COMPARISON = _RECORD["comparison"]["items"]
+_SECTIONS = [
+    (ClassificationMetrics, _CELL["classification"]),
+    (ExplanationMetrics, _CELL["explanation"]),
+    (RobustnessMetrics, _CELL["robustness"]),
+    (WilcoxonResult, _COMPARISON["properties"]["wilcoxon"]),
+    (BootstrapInterval, _COMPARISON["properties"]["bootstrap_ci"]),
+    (EnvironmentInfo, _RECORD["environment"]),
+    (PipelineConfig, _RECORD["preprocessing"]["properties"]["config"]),
+]
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+class TestSectionsMatchSchema:
+    """Every record section is ``asdict`` of a dataclass, so each dataclass
+    must declare exactly the keys of its closed sub-schema."""
+
+    @pytest.mark.parametrize("cls, schema", _SECTIONS,
+                             ids=[cls.__name__ for cls, _ in _SECTIONS])
+    def test_dataclass_fields_equal_schema_properties(self, cls, schema):
+        assert _field_names(cls) == set(schema["properties"])
+
+    def test_comparison_fields_plus_added_keys_equal_schema(self):
+        added = {"a_values", "b_values", "effect_size_buckets"}
+        assert _field_names(ComparisonResult) | added == set(_COMPARISON["properties"])
+
+    def test_real_classification_section_validates(self):
+        metrics = classification_metrics([0.1, 0.8, 0.4, 0.9], [0, 1, 1, 0])
+        jsonschema.validate(asdict(metrics), _CELL["classification"])
+
+    def test_real_robustness_section_validates(self, trained_models, blob_matrices):
+        X_train, _, X_test, _ = blob_matrices
+        suite = robustness_metrics_suite(trained_models["logreg"], X_test[:4],
+                                         X_train, n_random_dirs=2,
+                                         max_pairs=100, seed=0)
+        assert suite.delta_adv
+        jsonschema.validate(asdict(suite), _CELL["robustness"])

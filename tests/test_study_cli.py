@@ -319,3 +319,19 @@ class TestCli:
         assert main(["run", str(config_path)]) == 0
         assert any(env_store.glob("records/*.json"))
         assert not (tmp_path / "studies").exists()
+
+    def test_datasets_list_missing_store_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_store"
+        assert main(["datasets", "list", str(missing)]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_datasets_list_honours_env_store(self, tmp_path, monkeypatch, capsys):
+        env_store = tmp_path / "env_store"
+        DocumentStore(env_store).save(minimal_record())
+        monkeypatch.setenv("GRIDBENCH_STORE", str(env_store))
+        other = tmp_path / "other"
+        assert main(["datasets", "list", str(other)]) == 0
+        out = capsys.readouterr().out
+        assert "ds_one" in out and "ds_two" in out
+        assert not other.exists()

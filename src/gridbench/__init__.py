@@ -38,7 +38,6 @@ from .metrics import (  # noqa: F401
     adversarial_robustness,
     auc_morf,
     classification_metrics,
-    explanation_error,
     lipschitz_lower,
     sens_max,
 )

@@ -105,9 +105,7 @@ def _sampled_shapley(model, x, background: Background, n_samples: int, seed: int
     rng = np.random.default_rng(seed)
 
     row_idx = rng.integers(0, bg.shape[0], size=n_samples)
-    perms = np.empty((n_samples, d), dtype=np.int64)
-    for s in range(n_samples):
-        perms[s] = rng.permutation(d)
+    perms = rng.permuted(np.tile(np.arange(d), (n_samples, 1)), axis=1)
 
     # prefix points per permutation: start at the background row, switch one
     # feature at a time to the instance value

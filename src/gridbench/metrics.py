@@ -2,9 +2,12 @@
 
 Explanation metrics consume an explainer callable with the signature
 ``explain(model, x, background, seed) -> Explanation`` (see
-``explain.build_explainer``). Every metric is a pure function of its
-inputs and seeds; per-instance seeds derive from (master seed, index) so
-aggregates are schedule-independent.
+``explain.build_explainer``). ``explanation_metrics_suite`` explains each
+instance once; the explanation error, ``sens_max`` (as its reference) and
+the MoRF curve (as its removal order) all consume that one explanation.
+Every metric is a pure function of its inputs and seeds; per-instance
+seeds derive from (master seed, index) so aggregates are
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -97,31 +100,19 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
     )
 
 
-# --- explanation accuracy -----------------------------------------------------
-
-def explanation_error(explain_fn, model, instances: np.ndarray,
-                      background: Background, seed: int = 0) -> float:
-    """Mean |(base + sum(phi)) - score(x)| over the instances."""
-    instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
-    scores = model.score(instances)
-    errors = []
-    for i, x in enumerate(instances):
-        expl = explain_fn(model, x, background, seed=derive_seed(seed, "expl_err", i))
-        errors.append(abs(expl.prediction() - float(scores[i])))
-    return float(np.mean(errors))
-
-
 # --- explanation stability ------------------------------------------------------
 
-def sens_max(explain_fn, model, x, r: float, n_probes: int = 8,
+def sens_max(explain_fn, model, x, phi, r: float, n_probes: int = 8,
              seed: int = 0, background: Background | None = None) -> float:
     """Maximum observed explanation shift under inf-ball input perturbations.
 
     Candidates: the 2d axis-extreme points x +- r*e_i, the two diagonal
     corners x +- r*1, and ``n_probes`` seeded uniform draws from the ball.
-    All candidate explanations reuse the same derived seed (common random
-    numbers), so sampled-mode noise does not register as sensitivity. The
-    result is a lower bound on the true maximum.
+    ``phi`` is the reference attribution of x itself; it must come from
+    ``explain_fn`` at ``derive_seed(seed, "sens_explain")``, the seed every
+    candidate is explained at (common random numbers), so sampled-mode
+    noise does not register as sensitivity. The result is a lower bound on
+    the true maximum.
     """
     if r < 0:
         raise ValueError("perturbation radius must be >= 0")
@@ -138,31 +129,27 @@ def sens_max(explain_fn, model, x, r: float, n_probes: int = 8,
         candidates.append(x + rng.uniform(-r, r, size=d))
 
     expl_seed = derive_seed(seed, "sens_explain")
-    phi0 = explain_fn(model, x, background, seed=expl_seed).phi
     worst = 0.0
     for cand in candidates:
-        phi = explain_fn(model, cand, background, seed=expl_seed).phi
-        worst = max(worst, float(np.linalg.norm(phi - phi0)))
+        cand_phi = explain_fn(model, cand, background, seed=expl_seed).phi
+        worst = max(worst, float(np.linalg.norm(cand_phi - phi)))
     return worst
 
 
 # --- degree of importance (perturbation curve) -----------------------------------
 
-def morf_curve(explain_fn, model, x, K: int, background: Background,
-               seed: int = 0, order: np.ndarray | None = None) -> np.ndarray:
+def morf_curve(model, x, K: int, background: Background,
+               order: np.ndarray) -> np.ndarray:
     """Model scores along the most-relevant-first perturbation path.
 
-    Point k replaces the top-k attributed features (ties broken by lower
-    feature index) with the background mean; point 0 is the unperturbed
-    instance. Returns K+1 scores.
+    Point k replaces the first k features of ``order`` (most relevant
+    first) with the background mean; point 0 is the unperturbed instance.
+    Returns K+1 scores.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     if not 1 <= K <= d:
         raise KOutOfRange(f"K={K} outside 1..{d}")
-    if order is None:
-        expl = explain_fn(model, x, background, seed=derive_seed(seed, "morf"))
-        order = np.argsort(-np.abs(expl.phi), kind="stable")
     mean = background.mean()
     points = np.tile(x, (K + 1, 1))
     for k in range(1, K + 1):
@@ -170,10 +157,10 @@ def morf_curve(explain_fn, model, x, K: int, background: Background,
     return model.score(points)
 
 
-def auc_morf(explain_fn, model, x, K: int, background: Background,
-             seed: int = 0, order: np.ndarray | None = None) -> float:
+def auc_morf(model, x, K: int, background: Background,
+             order: np.ndarray) -> float:
     """Trapezoid area under the K-step perturbation curve (lower = more faithful)."""
-    curve = morf_curve(explain_fn, model, x, K, background, seed=seed, order=order)
+    curve = morf_curve(model, x, K, background, order)
     return float(np.sum((curve[:-1] + curve[1:]) / 2.0))
 
 
@@ -305,20 +292,28 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
                               background: Background, r: float = 0.01,
                               n_probes: int = 8, K: int = 5,
                               seed: int = 0) -> ExplanationMetrics:
-    """Instance-averaged explanation accuracy, stability, and importance."""
+    """Instance-averaged explanation accuracy, stability, and importance.
+
+    Each instance is explained once, for the error, the ``sens_max``
+    reference and the MoRF order (ties broken by lower feature index).
+    """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
-    err = explanation_error(explain_fn, model, instances, background, seed=seed)
+    scores = model.score(instances)
+    errors = []
     sens_values = []
     morf_values = []
     K_eff = min(K, instances.shape[1])
     for i, x in enumerate(instances):
-        sens_values.append(sens_max(explain_fn, model, x, r, n_probes,
-                                    seed=derive_seed(seed, "sens", i),
-                                    background=background))
-        morf_values.append(auc_morf(explain_fn, model, x, K_eff, background,
-                                    seed=derive_seed(seed, "morf", i)))
+        sens_seed = derive_seed(seed, "sens", i)
+        expl = explain_fn(model, x, background,
+                          seed=derive_seed(sens_seed, "sens_explain"))
+        errors.append(abs(expl.prediction() - float(scores[i])))
+        sens_values.append(sens_max(explain_fn, model, x, expl.phi, r, n_probes,
+                                    seed=sens_seed, background=background))
+        order = np.argsort(-np.abs(expl.phi), kind="stable")
+        morf_values.append(auc_morf(model, x, K_eff, background, order))
     return ExplanationMetrics(
-        explanation_error=err,
+        explanation_error=float(np.mean(errors)),
         sens_max=float(np.mean(sens_values)),
         sens_radius=float(r),
         auc_morf=float(np.mean(morf_values)),

@@ -8,9 +8,10 @@ evaluated one after another on the calling thread, so recorded timings are
 not inflated by other threads competing for the CPU.
 
 Model-training seeds are labeled with a digest of the model spec rather
-than the algorithm slot: two slots configured with the same model train
-bit-identical ensembles, which isolates explainer differences exactly as
-in a same-ensembles case study.
+than the algorithm slot. Two slots configured with the same model share
+one fit per dataset, with its test scores, classification metrics,
+robustness metrics and timings, which isolates explainer differences
+exactly as in a same-ensembles case study.
 """
 
 from __future__ import annotations
@@ -242,19 +243,28 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
         "metrics": [],
     }
 
+    fits = {}  # model digest -> (model, train_time, predict_time, cls, robust)
     for slot_key, slot in (("algorithm_a", "a"), ("algorithm_b", "b")):
         algo = config[slot_key]
         digest = _model_digest(algo["model"])
         train_seed = derive_seed(master, f"train:{digest}", index)
+        if digest not in fits:
+            t0 = time.perf_counter()
+            model = _train_algorithm(algo["model"], X_train, y_train, train_seed)
+            train_time = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        model = _train_algorithm(algo["model"], X_train, y_train, train_seed)
-        train_time = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            test_scores = model.score(X_test)
+            predict_time = time.perf_counter() - t0
+            cls = classification_metrics(test_scores, y_test, model.threshold)
 
-        t0 = time.perf_counter()
-        test_scores = model.score(X_test)
-        predict_time = time.perf_counter() - t0
-        cls = classification_metrics(test_scores, y_test, model.threshold)
+            robust = robustness_metrics_suite(
+                model, X_test[robust_rows], X_train,
+                n_random_dirs=mcfg["n_random_dirs"],
+                max_pairs=mcfg["lipschitz_max_pairs"],
+                seed=derive_seed(master, f"robust:{digest}", index))
+            fits[digest] = (model, train_time, predict_time, cls, robust)
+        model, train_time, predict_time, cls, robust = fits[digest]
 
         background_seed = derive_seed(master, "background", index)
         background = sample_background(X_train, algo["background_size"],
@@ -267,12 +277,6 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
             r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
             seed=derive_seed(master, f"explain:{slot}", index))
         explain_time = time.perf_counter() - t0
-
-        robust = robustness_metrics_suite(
-            model, X_test[robust_rows], X_train,
-            n_random_dirs=mcfg["n_random_dirs"],
-            max_pairs=mcfg["lipschitz_max_pairs"],
-            seed=derive_seed(master, f"robust:{digest}", index))
 
         result["models"].append({
             "algorithm": slot,
@@ -338,10 +342,10 @@ def _comparison_block(config: dict, metric_entries: list[dict],
 def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     """Execute a validated study config end-to-end; returns the saved record.
 
-    Work per dataset: build, split, fit the pipeline on train, train both
-    algorithms, compute all enabled metrics on test. Cross-dataset
-    statistics run afterwards; the record is saved atomically and reports
-    are rendered from the record alone. Relative manifest paths resolve
+    Work per dataset: build, split, fit the pipeline on train, train each
+    distinct model spec once, compute all enabled metrics on test.
+    Cross-dataset statistics run afterwards; the record is saved atomically
+    and reports are rendered from the record alone. Relative manifest paths resolve
     against ``base_dir`` (the config's home); relative output paths against
     ``output_base`` (defaults to ``base_dir``).
     """

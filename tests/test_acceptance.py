@@ -36,6 +36,13 @@ from test_stats import wilcoxon_brute_force
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: shapley_explain(  # noqa: E731
     model, x, background, mode="exact", seed=seed)
+CASE_STUDY_DIGEST = "7032dfe7fda5bb5252d38611429445b86877f62d6df0ecca3b58182d9d03896b"
+
+
+def _exact_order(model, x, background):
+    """Most-relevant-first removal order from x's exact attribution."""
+    phi = shapley_explain(model, x, background, mode="exact").phi
+    return np.argsort(-np.abs(phi), kind="stable")
 
 
 def _report(line):
@@ -104,14 +111,17 @@ def test_sens_max_analytic_case(acceptance_models):
     """Linear stub w=(1,2), r=0.01 -> 0.01*sqrt(5) within 1e-9; r=0 -> 0."""
     model = LinearStub([1.0, 2.0])
     background = Background(np.array([[0.0, 0.0], [0.5, 0.5]]))
-    got = sens_max(EXACT_EXPLAIN, model, np.array([0.2, 0.7]), r=0.01,
+    x = np.array([0.2, 0.7])
+    phi = shapley_explain(model, x, background, mode="exact").phi
+    got = sens_max(EXACT_EXPLAIN, model, x, phi, r=0.01,
                    n_probes=4, seed=0, background=background)
     assert abs(got - 0.01 * np.sqrt(5.0)) < 1e-9
 
     models, X_train, X_test = acceptance_models
     bg = sample_background(X_train, 10, seed=1)
     for kind, trained in models.items():
-        assert sens_max(EXACT_EXPLAIN, trained, X_test[0], r=0.0,
+        phi = shapley_explain(trained, X_test[0], bg, mode="exact").phi
+        assert sens_max(EXACT_EXPLAIN, trained, X_test[0], phi, r=0.0,
                         background=bg) == 0.0, kind
     _report("SENS_MAX: corner attains 0.01*sqrt(5) within 1e-9; r=0 gives 0 "
             "for all model kinds")
@@ -122,8 +132,8 @@ def test_auc_morf_constant_and_ordering():
     started = time.perf_counter()
     bg6 = Background(np.zeros((3, 6)))
     model_c = ConstantStub(0.5, input_dimension=6)
-    assert auc_morf(EXACT_EXPLAIN, model_c, np.ones(6), K=5,
-                    background=bg6) == 5 * 0.5
+    assert auc_morf(model_c, np.ones(6), K=5, background=bg6,
+                    order=_exact_order(model_c, np.ones(6), bg6)) == 5 * 0.5
 
     rng = np.random.default_rng(31)
     d, K = 6, 5
@@ -132,8 +142,9 @@ def test_auc_morf_constant_and_ordering():
         model = LinearStub(rng.normal(loc=1.0, scale=0.5, size=d))
         x = rng.normal(loc=1.0, scale=0.3, size=d)
         background = Background(rng.normal(loc=0.0, scale=0.1, size=(10, d)))
-        morf = auc_morf(EXACT_EXPLAIN, model, x, K=K, background=background)
-        randoms = [auc_morf(EXACT_EXPLAIN, model, x, K=K, background=background,
+        morf = auc_morf(model, x, K=K, background=background,
+                        order=_exact_order(model, x, background))
+        randoms = [auc_morf(model, x, K=K, background=background,
                             order=rng.permutation(d)) for _ in range(20)]
         wins += int(morf <= np.mean(randoms))
     elapsed = time.perf_counter() - started
@@ -313,7 +324,7 @@ def test_classification_metric_oracle():
 
 def test_end_to_end_case_study(tmp_path):
     """Shipped config runs < 10 min, valid record, sens_max SVG, finite stats,
-    rerun digest equality."""
+    rerun digest equality, digest equal to the pinned one."""
     config = json.loads((REPO_ROOT / "configs" / "case_study.json")
                         .read_text(encoding="utf-8"))
     started = time.perf_counter()
@@ -347,6 +358,9 @@ def test_end_to_end_case_study(tmp_path):
 
     rerun = run_study(config, base_dir=tmp_path / "two")
     assert rerun["reproducibility_digest"] == record["reproducibility_digest"]
+    assert record["reproducibility_digest"] == CASE_STUDY_DIGEST, (
+        "the case-study digest changed; a declared digest break must update "
+        "CASE_STUDY_DIGEST in the same change")
     _report(f"end-to-end case study: {elapsed:.0f}s, schema-valid record, "
             "sens_max estimation plot, finite comparison stats, rerun digest "
             "equal")

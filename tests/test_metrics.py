@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,18 @@ from gridbench.errors import (
     NoFlipFound,
     SingleClassLabels,
 )
-from gridbench.explain import Background, build_explainer, sample_background
+from gridbench.explain import (
+    Background,
+    build_explainer,
+    sample_background,
+    shapley_explain,
+)
 from gridbench.metrics import (
+    ExplanationMetrics,
     RobustnessProbe,
     adversarial_robustness,
     auc_morf,
     classification_metrics,
-    explanation_error,
     explanation_metrics_suite,
     lipschitz_lower,
     robustness_metrics_suite,
@@ -23,6 +30,16 @@ from gridbench.metrics import (
 from gridbench.seeding import derive_seed
 
 EXACT = build_explainer("blackbox", mode="exact")
+
+
+def _phi(model, x, bg):
+    """x's own exact attribution: the reference ``sens_max`` compares to."""
+    return shapley_explain(model, x, bg, mode="exact").phi
+
+
+def _order(model, x, bg):
+    """Most-relevant-first removal order from x's exact attribution."""
+    return np.argsort(-np.abs(_phi(model, x, bg)), kind="stable")
 
 
 def _pairwise_auc_oracle(scores, labels):
@@ -84,12 +101,67 @@ class TestClassificationMetrics:
             classification_metrics(np.array([0.2, 0.3]), np.array([1, 1]))
 
 
+def _three_explanation_suite(explain_fn, model, instances, background, r,
+                             n_probes, K, seed):
+    """Reference: the explanation suite as three metrics that each explain x.
+
+    The error, ``sens_max`` and the MoRF curve each compute their own
+    explanation of x at their own seed; in exact mode all three are the
+    same, so the one-explanation suite must reproduce these values bit for
+    bit.
+    """
+    scores = model.score(instances)
+    errors = []
+    for i, x in enumerate(instances):
+        expl = explain_fn(model, x, background,
+                          seed=derive_seed(seed, "expl_err", i))
+        errors.append(abs(expl.prediction() - float(scores[i])))
+
+    sens_values, morf_values = [], []
+    K_eff = min(K, instances.shape[1])
+    for i, x in enumerate(instances):
+        sens_seed = derive_seed(seed, "sens", i)
+        d = x.shape[0]
+        candidates = [x + r * e for e in np.eye(d)] + [x - r * e for e in np.eye(d)]
+        candidates.append(x + r * np.ones(d))
+        candidates.append(x - r * np.ones(d))
+        rng = np.random.default_rng(derive_seed(sens_seed, "sens_probes"))
+        for _ in range(n_probes):
+            candidates.append(x + rng.uniform(-r, r, size=d))
+        expl_seed = derive_seed(sens_seed, "sens_explain")
+        phi0 = explain_fn(model, x, background, seed=expl_seed).phi
+        worst = 0.0
+        for cand in candidates:
+            phi = explain_fn(model, cand, background, seed=expl_seed).phi
+            worst = max(worst, float(np.linalg.norm(phi - phi0)))
+        sens_values.append(worst)
+
+        morf_seed = derive_seed(seed, "morf", i)
+        expl = explain_fn(model, x, background, seed=derive_seed(morf_seed, "morf"))
+        order = np.argsort(-np.abs(expl.phi), kind="stable")
+        mean = background.mean()
+        points = np.tile(x, (K_eff + 1, 1))
+        for k in range(1, K_eff + 1):
+            points[k:, order[k - 1]] = mean[order[k - 1]]
+        curve = model.score(points)
+        morf_values.append(float(np.sum((curve[:-1] + curve[1:]) / 2.0)))
+
+    return ExplanationMetrics(
+        explanation_error=float(np.mean(errors)),
+        sens_max=float(np.mean(sens_values)),
+        sens_radius=float(r),
+        auc_morf=float(np.mean(morf_values)),
+        morf_features_evaluated=int(K_eff),
+    )
+
+
 class TestExplanationError:
     def test_exact_mode_local_accuracy(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 12, seed=0)
         for model in trained_models.values():
-            err = explanation_error(EXACT, model, X_test[:8], bg)
+            err = explanation_metrics_suite(EXACT, model, X_test[:8], bg,
+                                            r=0.0).explanation_error
             assert err < 1e-9
 
     def test_constant_model_zero_error_every_kind(self):
@@ -98,7 +170,9 @@ class TestExplanationError:
         X = np.array([[0.1, 0.2], [0.5, 0.5]])
         for kind, mode in (("blackbox", "exact"), ("blackbox", "sampled")):
             fn = build_explainer(kind, mode=mode, n_samples=50)
-            assert explanation_error(fn, model, X, bg) == pytest.approx(0.0)
+            err = explanation_metrics_suite(fn, model, X, bg,
+                                            r=0.0).explanation_error
+            assert err == pytest.approx(0.0)
 
     def test_basic_join_error_matches_hand_computation(self, trained_stack,
                                                        blob_matrices):
@@ -109,7 +183,8 @@ class TestExplanationError:
         expl = fn(trained_stack, x, bg, seed=0)
         expected = abs(expl.base_value + expl.phi.sum()
                        - float(trained_stack.score(x[None, :])[0]))
-        got = explanation_error(fn, trained_stack, x[None, :], bg)
+        got = explanation_metrics_suite(fn, trained_stack, x[None, :], bg,
+                                        r=0.0).explanation_error
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -118,7 +193,8 @@ class TestSensMax:
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
         for model in trained_models.values():
-            assert sens_max(EXACT, model, X_test[0], r=0.0,
+            phi = _phi(model, X_test[0], bg)
+            assert sens_max(EXACT, model, X_test[0], phi, r=0.0,
                             background=bg) == 0.0
 
     def test_linear_analytic_maximum_attained_at_corner(self):
@@ -127,21 +203,24 @@ class TestSensMax:
         # r*||w||_2
         model = LinearStub([1.0, 2.0])
         bg = Background(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        got = sens_max(EXACT, model, np.array([0.3, 0.4]), r=0.01,
+        x = np.array([0.3, 0.4])
+        got = sens_max(EXACT, model, x, _phi(model, x, bg), r=0.01,
                        n_probes=4, seed=0, background=bg)
         assert got == pytest.approx(0.01 * np.sqrt(5.0), abs=1e-9)
 
     def test_constant_model_zero(self):
         bg = Background(np.zeros((2, 3)))
         model = ConstantStub(0.9, input_dimension=3)
-        assert sens_max(EXACT, model, np.zeros(3), r=0.05,
+        x = np.zeros(3)
+        assert sens_max(EXACT, model, x, _phi(model, x, bg), r=0.05,
                         background=bg) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_radius_linear(self):
         model = LinearStub([1.5, -0.5, 2.0])
         bg = Background(np.zeros((2, 3)))
         x = np.array([0.1, 0.2, 0.3])
-        values = [sens_max(EXACT, model, x, r=r, n_probes=4, seed=1,
+        phi = _phi(model, x, bg)
+        values = [sens_max(EXACT, model, x, phi, r=r, n_probes=4, seed=1,
                            background=bg) for r in (0.01, 0.02, 0.04)]
         assert values[0] <= values[1] <= values[2]
 
@@ -150,7 +229,8 @@ class TestAucMorf:
     def test_constant_model_flat_curve(self):
         bg = Background(np.zeros((2, 6)))
         model = ConstantStub(0.5, input_dimension=6)
-        got = auc_morf(EXACT, model, np.ones(6), K=5, background=bg)
+        x = np.ones(6)
+        got = auc_morf(model, x, K=5, background=bg, order=_order(model, x, bg))
         assert got == 5 * 0.5
 
     def test_two_step_trapezoid_by_hand(self):
@@ -158,14 +238,14 @@ class TestAucMorf:
         model = SingleFeatureStub(feature=3)
         bg = Background(np.zeros((4, 5)))
         x = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
-        got = auc_morf(EXACT, model, x, K=2, background=bg)
+        got = auc_morf(model, x, K=2, background=bg, order=_order(model, x, bg))
         assert got == pytest.approx((0.9 + 0.2) / 2 + (0.2 + 0.2) / 2)
 
     def test_k_out_of_range(self):
         bg = Background(np.zeros((2, 3)))
         with pytest.raises(KOutOfRange):
-            auc_morf(EXACT, ConstantStub(0.5, 3), np.zeros(3), K=4,
-                     background=bg)
+            model, x = ConstantStub(0.5, 3), np.zeros(3)
+            auc_morf(model, x, K=4, background=bg, order=_order(model, x, bg))
 
     def test_morf_beats_random_orderings(self):
         # oracle: removing truly-important features first decreases the
@@ -177,8 +257,9 @@ class TestAucMorf:
             model = LinearStub(rng.normal(loc=1.0, scale=0.5, size=d))
             x = rng.normal(loc=1.0, scale=0.3, size=d)
             bg = Background(rng.normal(loc=0.0, scale=0.1, size=(10, d)))
-            morf = auc_morf(EXACT, model, x, K=K, background=bg)
-            randoms = [auc_morf(EXACT, model, x, K=K, background=bg,
+            morf = auc_morf(model, x, K=K, background=bg,
+                            order=_order(model, x, bg))
+            randoms = [auc_morf(model, x, K=K, background=bg,
                                 order=rng.permutation(d))
                        for _ in range(20)]
             wins += int(morf <= np.mean(randoms))
@@ -423,6 +504,34 @@ class TestSuites:
         assert suite.mean_delta_adv is None or suite.mean_delta_adv > 0
         assert suite.lipschitz_lower >= 0.0
         assert suite.pairs_evaluated > 0
+
+    def test_explanation_suite_explains_each_instance_once(self, trained_models,
+                                                            blob_matrices):
+        # x once, then its 2d axis points, 2 corners and n_probes probes
+        _, _, X_test, _ = blob_matrices
+        bg = sample_background(X_test, 8, seed=0)
+        calls = []
+
+        def counting(model, x, background, seed=0):
+            calls.append(seed)
+            return EXACT(model, x, background, seed=seed)
+
+        n, d, n_probes = 3, X_test.shape[1], 2
+        explanation_metrics_suite(counting, trained_models["logreg"], X_test[:n],
+                                  bg, r=0.01, n_probes=n_probes, K=3, seed=4)
+        assert len(calls) == n * (2 * d + 3 + n_probes)
+
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    def test_explanation_suite_matches_three_explanation_reference(
+            self, kind, trained_stack, blob_matrices):
+        _, _, X_test, _ = blob_matrices
+        bg = sample_background(X_test, 8, seed=2)
+        fn = build_explainer(kind, mode="exact")
+        args = dict(r=0.05, n_probes=3, K=3, seed=11)
+        got = explanation_metrics_suite(fn, trained_stack, X_test[:4], bg, **args)
+        want = _three_explanation_suite(fn, trained_stack, X_test[:4], bg, **args)
+        assert [float(v).hex() for v in astuple(got)] == \
+            [float(v).hex() for v in astuple(want)]
 
     def test_suites_schedule_independent(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridbench.study
 from gridbench.cli import main
 from gridbench.errors import InvalidConfig
 from gridbench.store import DocumentStore, validate
@@ -135,6 +136,36 @@ class TestRunStudy:
         config["workers"] = 2
         again = run_study(config, base_dir=tmp_path)
         assert again["reproducibility_digest"] == record["reproducibility_digest"]
+
+    @pytest.mark.parametrize("same_spec", [True, False])
+    def test_one_fit_per_dataset_and_model_spec(self, same_spec, tmp_path,
+                                                monkeypatch):
+        calls = {"_train_algorithm": 0, "robustness_metrics_suite": 0}
+        for name in calls:
+            original = getattr(gridbench.study, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gridbench.study, name, counted)
+        config = tiny_config()
+        if same_spec:
+            config["algorithm_a"]["model"] = config["algorithm_b"]["model"]
+        record = run_study(config, base_dir=tmp_path)
+
+        per_dataset = 1 if same_spec else 2
+        n_datasets = len(config["datasets"])
+        assert calls == {name: per_dataset * n_datasets for name in calls}
+        if same_spec:
+            for ds in config["datasets"]:
+                a, b = (next(m for m in record["metrics"]
+                             if m["algorithm"] == slot and m["dataset"] == ds["name"])
+                        for slot in ("a", "b"))
+                for section in ("classification", "robustness"):
+                    assert a[section] == b[section]
+                for timing in ("train_time", "predict_time"):
+                    assert a["timings"][timing] == b["timings"][timing]
 
     def test_explanation_metrics_get_finite_statistics(self, study_dirs):
         _, record = study_dirs

@@ -3,8 +3,8 @@
 Explanation metrics consume an explainer callable with the signature
 ``explain(model, x, background, seed) -> Explanation`` (see
 ``explain.build_explainer``). ``explanation_metrics_suite`` explains each
-instance once; the explanation error, ``sens_max`` (as its reference) and
-the MoRF curve (as its removal order) all consume that one explanation.
+instance once, in one call with its ``sens_max`` candidates; the error,
+``sens_max`` (as its reference) and the MoRF order all use it.
 Every metric is a pure function of its inputs and seeds; per-instance
 seeds derive from (master seed, index) so aggregates are
 schedule-independent.
@@ -102,38 +102,40 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
 
 # --- explanation stability ------------------------------------------------------
 
+def _sens_points(x: np.ndarray, r: float, n_probes: int, seed: int) -> np.ndarray:
+    """x followed by its ``sens_max`` candidates (none when r is 0)."""
+    if r < 0:
+        raise ValueError("perturbation radius must be >= 0")
+    if r == 0.0:
+        return x[None, :]
+    d = x.shape[0]
+    rng = np.random.default_rng(derive_seed(seed, "sens_probes"))
+    return np.vstack([x, x + r * np.eye(d), x - r * np.eye(d), x + r, x - r,
+                      x + rng.uniform(-r, r, size=(int(n_probes), d))])
+
+
+def _max_shift(phi: np.ndarray, explanations) -> float:
+    return max([0.0] + [float(np.linalg.norm(e.phi - phi)) for e in explanations])
+
+
 def sens_max(explain_fn, model, x, phi, r: float, n_probes: int = 8,
-             seed: int = 0, background: Background | None = None) -> float:
+             seed: int = 0, *, background: Background) -> float:
     """Maximum observed explanation shift under inf-ball input perturbations.
 
     Candidates: the 2d axis-extreme points x +- r*e_i, the two diagonal
     corners x +- r*1, and ``n_probes`` seeded uniform draws from the ball.
-    ``phi`` is the reference attribution of x itself; it must come from
-    ``explain_fn`` at ``derive_seed(seed, "sens_explain")``, the seed every
-    candidate is explained at (common random numbers), so sampled-mode
-    noise does not register as sensitivity. The result is a lower bound on
-    the true maximum.
+    ``phi`` is the reference attribution of x from ``explain_fn`` at
+    ``derive_seed(seed, "sens_explain")``; x and every candidate are
+    explained in one call at that seed (common random numbers, so
+    sampled-mode noise does not register as sensitivity). The result is a
+    lower bound on the true maximum.
     """
-    if r < 0:
-        raise ValueError("perturbation radius must be >= 0")
+    points = _sens_points(np.asarray(x, dtype=np.float64), r, n_probes, seed)
     if r == 0.0:
         return 0.0
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-
-    candidates = [x + r * e for e in np.eye(d)] + [x - r * e for e in np.eye(d)]
-    candidates.append(x + r * np.ones(d))
-    candidates.append(x - r * np.ones(d))
-    rng = np.random.default_rng(derive_seed(seed, "sens_probes"))
-    for _ in range(int(n_probes)):
-        candidates.append(x + rng.uniform(-r, r, size=d))
-
-    expl_seed = derive_seed(seed, "sens_explain")
-    worst = 0.0
-    for cand in candidates:
-        cand_phi = explain_fn(model, cand, background, seed=expl_seed).phi
-        worst = max(worst, float(np.linalg.norm(cand_phi - phi)))
-    return worst
+    explained = explain_fn(model, points, background,
+                           seed=derive_seed(seed, "sens_explain"))
+    return _max_shift(phi, explained[1:])
 
 
 # --- degree of importance (perturbation curve) -----------------------------------
@@ -294,8 +296,9 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
                               seed: int = 0) -> ExplanationMetrics:
     """Instance-averaged explanation accuracy, stability, and importance.
 
-    Each instance is explained once, for the error, the ``sens_max``
-    reference and the MoRF order (ties broken by lower feature index).
+    Each instance is explained once, with its ``sens_max`` candidates, for
+    the error, the ``sens_max`` reference and the MoRF order (ties broken
+    by lower feature index).
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     scores = model.score(instances)
@@ -305,11 +308,11 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
     K_eff = min(K, instances.shape[1])
     for i, x in enumerate(instances):
         sens_seed = derive_seed(seed, "sens", i)
-        expl = explain_fn(model, x, background,
-                          seed=derive_seed(sens_seed, "sens_explain"))
+        points = _sens_points(x, r, n_probes, sens_seed)
+        expl, *candidates = explain_fn(model, points, background,
+                                       seed=derive_seed(sens_seed, "sens_explain"))
         errors.append(abs(expl.prediction() - float(scores[i])))
-        sens_values.append(sens_max(explain_fn, model, x, expl.phi, r, n_probes,
-                                    seed=sens_seed, background=background))
+        sens_values.append(_max_shift(expl.phi, candidates))
         order = np.argsort(-np.abs(expl.phi), kind="stable")
         morf_values.append(auc_morf(model, x, K_eff, background, order))
     return ExplanationMetrics(

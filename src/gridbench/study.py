@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -200,6 +201,17 @@ def _train_algorithm(model_spec: dict, X, y, seed: int):
     return train(model_spec["kind"], X, y, model_spec.get("hyper", {}), seed=seed)
 
 
+@contextmanager
+def _noted(note: str):
+    """Add ``note`` to any exception raised in the block (Python 3.11+)."""
+    try:
+        yield
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(note)
+        raise
+
+
 def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> dict:
     master = config["master_seed"]
     ds = _build_dataset(entry, index, master, base_dir)
@@ -246,37 +258,38 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
     fits = {}  # model digest -> (model, train_time, predict_time, cls, robust)
     for slot_key, slot in (("algorithm_a", "a"), ("algorithm_b", "b")):
         algo = config[slot_key]
-        digest = _model_digest(algo["model"])
-        train_seed = derive_seed(master, f"train:{digest}", index)
-        if digest not in fits:
+        with _noted(f"while evaluating {slot_key} ({algo['name']})"):
+            digest = _model_digest(algo["model"])
+            train_seed = derive_seed(master, f"train:{digest}", index)
+            if digest not in fits:
+                t0 = time.perf_counter()
+                model = _train_algorithm(algo["model"], X_train, y_train, train_seed)
+                train_time = time.perf_counter() - t0
+
+                t0 = time.perf_counter()
+                test_scores = model.score(X_test)
+                predict_time = time.perf_counter() - t0
+                cls = classification_metrics(test_scores, y_test, model.threshold)
+
+                robust = robustness_metrics_suite(
+                    model, X_test[robust_rows], X_train,
+                    n_random_dirs=mcfg["n_random_dirs"],
+                    max_pairs=mcfg["lipschitz_max_pairs"],
+                    seed=derive_seed(master, f"robust:{digest}", index))
+                fits[digest] = (model, train_time, predict_time, cls, robust)
+            model, train_time, predict_time, cls, robust = fits[digest]
+
+            background_seed = derive_seed(master, "background", index)
+            background = sample_background(X_train, algo["background_size"],
+                                           background_seed)
+            explain_fn = build_explainer(algo["explainer"], algo["mode"],
+                                         algo["n_samples"])
             t0 = time.perf_counter()
-            model = _train_algorithm(algo["model"], X_train, y_train, train_seed)
-            train_time = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            test_scores = model.score(X_test)
-            predict_time = time.perf_counter() - t0
-            cls = classification_metrics(test_scores, y_test, model.threshold)
-
-            robust = robustness_metrics_suite(
-                model, X_test[robust_rows], X_train,
-                n_random_dirs=mcfg["n_random_dirs"],
-                max_pairs=mcfg["lipschitz_max_pairs"],
-                seed=derive_seed(master, f"robust:{digest}", index))
-            fits[digest] = (model, train_time, predict_time, cls, robust)
-        model, train_time, predict_time, cls, robust = fits[digest]
-
-        background_seed = derive_seed(master, "background", index)
-        background = sample_background(X_train, algo["background_size"],
-                                       background_seed)
-        explain_fn = build_explainer(algo["explainer"], algo["mode"],
-                                     algo["n_samples"])
-        t0 = time.perf_counter()
-        expl = explanation_metrics_suite(
-            explain_fn, model, X_test[explain_rows], background,
-            r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
-            seed=derive_seed(master, f"explain:{slot}", index))
-        explain_time = time.perf_counter() - t0
+            expl = explanation_metrics_suite(
+                explain_fn, model, X_test[explain_rows], background,
+                r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
+                seed=derive_seed(master, f"explain:{slot}", index))
+            explain_time = time.perf_counter() - t0
 
         result["models"].append({
             "algorithm": slot,
@@ -356,13 +369,9 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     started = time.perf_counter()
     results = []
     for i, entry in enumerate(config["datasets"]):
-        try:
+        with _noted(f"while evaluating datasets[{i}] "
+                    f"({entry.get('name', entry.get('path', '?'))})"):
             results.append(_evaluate_dataset(i, entry, config, base_dir))
-        except Exception as exc:
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"while evaluating datasets[{i}] "
-                             f"({entry.get('name', entry.get('path', '?'))})")
-            raise
 
     record = {
         "study_id": new_study_id(),

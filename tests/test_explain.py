@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import ConstantStub, LinearStub
 from gridbench.errors import DimensionMismatch, ExactTooLarge
 from gridbench.explain import (
     Background,
+    Explanation,
     basic_join_explain,
     build_explainer,
     join_attributions,
@@ -267,3 +270,161 @@ class TestBackgroundAndBuilder:
             assert expl.phi.shape == (X_test.shape[1],)
         with pytest.raises(ValueError):
             build_explainer("nope")
+
+
+# --- the per-point paths the batched engine replaced, kept as references ---
+
+def _reference_exact(model, x, background):
+    """Exact Shapley of one point: all 2^d coalitions scored in one call."""
+    d = x.shape[0]
+    n_masks = 1 << d
+    bg = background.rows
+    b = bg.shape[0]
+
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(d)[None, :]) & 1).astype(bool)
+    z = np.where(bits[:, None, :], x[None, None, :], bg[None, :, :])
+    scores = model.score(z.reshape(n_masks * b, d))
+    v = scores.reshape(n_masks, b).mean(axis=1)
+
+    popcount = bits.sum(axis=1)
+    weights = np.array([factorial(s) * factorial(d - s - 1) / factorial(d)
+                        for s in range(d)])
+    masks = np.arange(n_masks)
+    phi = np.empty(d)
+    for i in range(d):
+        bit = 1 << i
+        without = masks[(masks & bit) == 0]
+        w = weights[popcount[without]]
+        phi[i] = float(np.dot(w, v[without | bit] - v[without]))
+    return Explanation(phi=phi, base_value=float(v[0]))
+
+
+def _reference_sampled(model, x, background, n_samples, seed):
+    """Seeded permutation-sampling Shapley of one point."""
+    d = x.shape[0]
+    bg = background.rows
+    rng = np.random.default_rng(seed)
+    row_idx = rng.integers(0, bg.shape[0], size=n_samples)
+    perms = rng.permuted(np.tile(np.arange(d), (n_samples, 1)), axis=1)
+    points = np.empty((n_samples, d + 1, d), dtype=np.float64)
+    points[:, 0, :] = bg[row_idx]
+    for k in range(d):
+        points[:, k + 1, :] = points[:, k, :]
+        points[np.arange(n_samples), k + 1, perms[:, k]] = x[perms[:, k]]
+    scores = model.score(points.reshape(n_samples * (d + 1), d))
+    marginals = np.diff(scores.reshape(n_samples, d + 1), axis=1)
+    phi = np.zeros(d)
+    np.add.at(phi, perms.ravel(), marginals.ravel())
+    phi /= n_samples
+    return Explanation(phi=phi, base_value=float(model.score(bg).mean()))
+
+
+def _reference_basic_join(ens, x, background, explain_one):
+    """Basic join of one point: each first-level model explained on its own."""
+    A = np.column_stack([explain_one(sub, x, background).phi
+                         for sub in ens.first_level])
+    score_background = Background(ens.first_level_scores(background.rows))
+    s_x = ens.first_level_scores(x[None, :])[0]
+    second = explain_one(ens.second_level, s_x, score_background)
+    return Explanation(phi=A @ second.phi, base_value=second.base_value)
+
+
+def _reference(kind, model, points, background, explain_one):
+    if kind == "blackbox":
+        return [explain_one(model, x, background) for x in points]
+    return [_reference_basic_join(model, x, background, explain_one)
+            for x in points]
+
+
+def _engine(kind, model, points, background, **kw):
+    explain = shapley_explain if kind == "blackbox" else basic_join_explain
+    return explain(model, points, background, **kw)
+
+
+def _with_candidates(x, r=0.01, n_probes=3, seed=0):
+    """x, its axis points, its two corners and seeded probes (as sens_max)."""
+    d = x.shape[0]
+    probes = x + np.random.default_rng(seed).uniform(-r, r, size=(n_probes, d))
+    return np.vstack([x, x + r * np.eye(d), x - r * np.eye(d), x + r, x - r,
+                      probes])
+
+
+@pytest.fixture(scope="module")
+def stacks():
+    """A logreg/tree/mlp stack per input dimension, with its data."""
+    out = {}
+    for d in (1, 2, 3, 8):
+        rng = np.random.default_rng(d)
+        X = rng.uniform(size=(80, d))
+        y = (X.sum(axis=1) + rng.normal(scale=0.2, size=80) > d / 2).astype(int)
+        ens = train_stack([("logreg", {"epochs": 40}), ("tree", {}),
+                           ("mlp", {"epochs": 40})],
+                          ("logreg", {"epochs": 40}), X, y, folds=3, seed=d)
+        out[d] = (ens, X)
+    return out
+
+
+class TestCoalitionEngine:
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    @pytest.mark.parametrize("b", [1, 5, 40])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_exact_matches_per_point_reference(self, stacks, kind, d, b):
+        ens, X = stacks[d]
+        bg = Background(X[-b:])
+        points = _with_candidates(X[0])
+        got = _engine(kind, ens, points, bg, mode="exact")
+        want = _reference(kind, ens, points, bg, _reference_exact)
+        assert len(got) == len(points)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g.phi - w.phi)) <= 1e-12
+            assert abs(g.base_value - w.base_value) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    def test_exact_bitwise_at_case_study_shape(self, stacks, kind):
+        ens, X = stacks[8]
+        bg = Background(X[-40:])
+        points = _with_candidates(X[0], n_probes=8)
+        got = _engine(kind, ens, points, bg, mode="exact")
+        want = _reference(kind, ens, points, bg, _reference_exact)
+        for g, w in zip(got, want):
+            assert g.phi.tobytes() == w.phi.tobytes()
+            assert g.base_value == w.base_value
+
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    def test_sampled_matches_per_point_reference(self, stacks, kind):
+        ens, X = stacks[3]
+        bg = Background(X[-10:])
+        points = _with_candidates(X[0])
+        got = _engine(kind, ens, points, bg, mode="sampled", n_samples=50,
+                      seed=3)
+        want = _reference(kind, ens, points, bg,
+                          lambda m, x, bg: _reference_sampled(m, x, bg, 50, 3))
+        for g, w in zip(got, want):
+            assert g.phi.tobytes() == w.phi.tobytes()
+            assert g.base_value == w.base_value
+
+    def test_single_point_is_the_one_row_case(self, stacks):
+        ens, X = stacks[3]
+        bg = Background(X[-5:])
+        for kind in ("blackbox", "basic_join"):
+            one = _engine(kind, ens, X[1], bg, mode="exact")
+            rows = _engine(kind, ens, X[1:2], bg, mode="exact")
+            assert isinstance(one, Explanation)
+            assert one.phi.tobytes() == rows[0].phi.tobytes()
+
+    def test_candidate_scores_only_coalitions_it_changes(self):
+        # an axis point shares every coalition without its feature with x;
+        # a point equal to x shares all of them and scores nothing
+        scored = []
+
+        class Counting(LinearStub):
+            def score(self, X):
+                scored.append(len(X))
+                return super().score(X)
+
+        d, b = 3, 2
+        x = np.array([0.1, 0.2, 0.3])
+        points = np.vstack([x, x + 0.5 * np.eye(d)[1], x])
+        shapley_explain(Counting(np.ones(d)), points, Background(np.zeros((b, d))),
+                        mode="exact")
+        assert scored == [b * 2**d, b * 2**(d - 1)]

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import astuple
 
 import numpy as np
@@ -224,6 +225,13 @@ class TestSensMax:
                            background=bg) for r in (0.01, 0.02, 0.04)]
         assert values[0] <= values[1] <= values[2]
 
+    def test_background_is_required(self):
+        background = inspect.signature(sens_max).parameters["background"]
+        assert background.default is inspect.Parameter.empty
+        with pytest.raises(TypeError, match="background"):
+            sens_max(EXACT, LinearStub([1.0, 2.0]), np.array([0.3, 0.4]),
+                     np.zeros(2), r=0.01)
+
 
 class TestAucMorf:
     def test_constant_model_flat_curve(self):
@@ -372,12 +380,15 @@ class _CountingModel:
     def __init__(self, model):
         self.model = model
         self.threshold = model.threshold
+        self.input_dimension = getattr(model, "input_dimension", None)
         self.calls = 0
         self.rows = 0
+        self.max_rows = 0
 
     def score(self, X):
         self.calls += 1
         self.rows += len(X)
+        self.max_rows = max(self.max_rows, len(X))
         return self.model.score(X)
 
 
@@ -507,19 +518,40 @@ class TestSuites:
 
     def test_explanation_suite_explains_each_instance_once(self, trained_models,
                                                             blob_matrices):
-        # x once, then its 2d axis points, 2 corners and n_probes probes
+        # one call per instance: x first, then its 2d axis points, 2 corners
+        # and n_probes probes
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
         calls = []
 
         def counting(model, x, background, seed=0):
-            calls.append(seed)
+            calls.append(np.array(x))
             return EXACT(model, x, background, seed=seed)
 
         n, d, n_probes = 3, X_test.shape[1], 2
         explanation_metrics_suite(counting, trained_models["logreg"], X_test[:n],
                                   bg, r=0.01, n_probes=n_probes, K=3, seed=4)
-        assert len(calls) == n * (2 * d + 3 + n_probes)
+        assert len(calls) == n
+        for x, batch in zip(X_test[:n], calls):
+            assert batch.shape == (1 + 2 * d + 2 + n_probes, d)
+            assert np.array_equal(batch[0], x)
+
+    def test_explanation_suite_rows_scored(self, trained_models, blob_matrices):
+        # one exact blackbox instance: x scores all 2^d coalitions, an axis
+        # point the 2^(d-1) that hold its feature, a corner or a probe all
+        # but the empty one, whose rows are the background rows x scored
+        _, _, X_test, _ = blob_matrices
+        b, n_probes, K = 8, 3, 3
+        d = X_test.shape[1]
+        model = _CountingModel(trained_models["mlp"])
+        explanation_metrics_suite(EXACT, model, X_test[:1],
+                                  sample_background(X_test, b, seed=0),
+                                  r=0.01, n_probes=n_probes, K=K, seed=2)
+        explained = b * (2**d + d * 2**d + (2 + n_probes) * (2**d - 1))
+        # plus the instance's own score and its K+1 MoRF points
+        assert model.rows == explained + 1 + (K + 1)
+        assert model.max_rows == b * 2**d
+        assert model.calls == 1 + (1 + 2 * d + 2 + n_probes) + 1
 
     @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
     def test_explanation_suite_matches_three_explanation_reference(

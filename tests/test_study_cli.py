@@ -9,7 +9,7 @@ import pytest
 
 import gridbench.study
 from gridbench.cli import main
-from gridbench.errors import InvalidConfig
+from gridbench.errors import GridBenchError, InvalidConfig
 from gridbench.store import DocumentStore, validate
 from gridbench.study import run_study, validate_config
 from record_fixture import minimal_record
@@ -280,6 +280,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "missing.csv" in err
         assert "datasets[1] (flows)" in err
+
+    def test_run_error_names_the_dataset_and_slot(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def failing_suite(*args, **kwargs):
+            raise GridBenchError("explainer failed")
+
+        monkeypatch.setattr(gridbench.study, "explanation_metrics_suite",
+                            failing_suite)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "explainer failed" in err
+        assert "while evaluating algorithm_a (plain-logreg)" in err
+        assert "while evaluating datasets[0] (tiny_a)" in err
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         config = tiny_config()

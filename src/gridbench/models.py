@@ -123,7 +123,6 @@ class _TreeNode:
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
     score: float = 0.0
-    n_samples: int = 0
 
     @property
     def is_leaf(self):
@@ -171,7 +170,7 @@ def _best_split(X, y, feature_order):
 
 
 def _grow_tree(X, y, depth, max_depth, min_samples_split):
-    node = _TreeNode(score=float(y.mean()), n_samples=y.size)
+    node = _TreeNode(score=float(y.mean()))
     if depth >= max_depth or y.size < min_samples_split or y.min() == y.max():
         return node
     gain, feature, threshold = _best_split(X, y, range(X.shape[1]))
@@ -354,12 +353,10 @@ class StackedEnsemble(TrainedModel):
 
     kind = STACK
 
-    def __init__(self, first_level, second_level, oof_folds, fold_assignment,
-                 **kwargs):
+    def __init__(self, first_level, second_level, fold_assignment, **kwargs):
         super().__init__(**kwargs)
         self.first_level = list(first_level)
         self.second_level = second_level
-        self.oof_folds = int(oof_folds)
         self.fold_assignment = np.asarray(fold_assignment, dtype=np.int64)
 
     def first_level_scores(self, X) -> np.ndarray:
@@ -435,7 +432,7 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5,
         "folds": int(folds),
     }
     return StackedEnsemble(
-        first_level, second_level, folds, assignment,
+        first_level, second_level, assignment,
         input_dimension=X.shape[1], train_seed=int(seed),
         hyperparameters=hyper_map,
     )

@@ -10,13 +10,15 @@ difference.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import AllPairsTied, ZeroDeviation
 
 EXACT_ENUMERATION_LIMIT = 25
+
+_NORMAL = NormalDist()
 
 # Anchor values 0.2 / 0.5 / 0.8; buckets cut at the midpoints.
 EFFECT_SIZE_BUCKETS = {"small_max": 0.35, "medium_max": 0.65}
@@ -135,7 +137,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         if var <= 0:
             raise AllPairsTied("tie correction removed all variance")
         z = (statistic - mean + 0.5) / np.sqrt(var)
-        p = float(min(1.0, 2.0 * ndtr(z)))
+        p = 2.0 * _NORMAL.cdf(z)
         method = "normal_approximation"
     return WilcoxonResult(statistic=statistic, p_value=min(1.0, p),
                           n_effective=int(n), method=method)
@@ -176,6 +178,8 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
     widened to contain the point estimate if finite-resample corrections
     pushed it off.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -197,7 +201,7 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
     if prop_below <= 0.0 or prop_below >= 1.0:
         method = "percentile"
     else:
-        z0 = float(ndtri(prop_below))
+        z0 = _NORMAL.inv_cdf(prop_below)
         # jackknife over both groups for the acceleration constant
         jack = []
         sum_a, sum_b = a.sum(), b.sum()
@@ -212,11 +216,10 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
             method = "percentile"
         else:
             accel = float(np.sum(deviations ** 3) / (6.0 * denom ** 1.5))
-            z_lo = ndtri(alpha / 2.0)
-            z_hi = ndtri(1.0 - alpha / 2.0)
+            z_lo = _NORMAL.inv_cdf(alpha / 2.0)
+            z_hi = _NORMAL.inv_cdf(1.0 - alpha / 2.0)
             def adjusted(z):
-                corrected = z0 + (z0 + z) / (1.0 - accel * (z0 + z))
-                return float(ndtr(corrected))
+                return _NORMAL.cdf(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
             lo_q, hi_q = adjusted(z_lo), adjusted(z_hi)
             low = float(np.quantile(replicates, lo_q))
             high = float(np.quantile(replicates, hi_q))

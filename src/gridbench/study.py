@@ -33,7 +33,7 @@ from .metrics import (
     explanation_metrics_suite,
     robustness_metrics_suite,
 )
-from .models import train, train_stack
+from .models import DEFAULT_HYPERPARAMETERS, train, train_stack
 from .preprocess import PipelineConfig, apply_pipeline, fit_pipeline
 from .report import EstimationPlotSpec, gardner_altman_svg, text_summary
 from .seeding import derive_seed
@@ -62,12 +62,44 @@ METRICS_DEFAULTS = {
     "confidence_level": 0.95,
 }
 
+# Smallest value each count or radius can take; confidence_level is in (0, 1).
+METRICS_MINIMA = {
+    "sens_radius": 0,
+    "morf_k": 1,
+    "n_probes": 0,
+    "explain_instances": 1,
+    "robustness_instances": 2,
+    "n_random_dirs": 0,
+    "lipschitz_max_pairs": 1,
+    "bootstrap_resamples": 1,
+}
+
 EXPLAINER_DEFAULTS = {"mode": "auto", "n_samples": 2000, "background_size": 50}
 
 
 def _require(condition: bool, message: str):
     if not condition:
         raise InvalidConfig(message)
+
+
+def _require_keys(obj: dict, allowed, where: str):
+    for key in obj:
+        _require(key in allowed, f"unknown {where} key {key!r}")
+
+
+def _require_member(member, where: str):
+    """One model spec: a known ``kind`` and ``hyper`` keys of that kind."""
+    _require(isinstance(member, dict) and member.get("kind") in DEFAULT_HYPERPARAMETERS,
+             f"{where}.kind must be one of logreg/tree/mlp")
+    _require_keys(member, ("kind", "hyper"), where)
+    hyper = member.get("hyper", {})
+    _require(isinstance(hyper, dict), f"{where}.hyper must be an object")
+    _require_keys(hyper, DEFAULT_HYPERPARAMETERS[member["kind"]], f"{where}.hyper")
+
+
+def _require_count(value, minimum: int, where: str):
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+             f"{where} must be an integer >= {minimum}, got {value!r}")
 
 
 def validate_config(config: dict) -> dict:
@@ -102,6 +134,7 @@ def validate_config(config: dict) -> dict:
     _require(len(set(names)) == len(names), "dataset names must be unique")
 
     split_cfg = dict(config.get("split", {}))
+    _require_keys(split_cfg, ("train_fraction",), "split")
     fraction = split_cfg.setdefault("train_fraction", 0.7)
     _require(isinstance(fraction, (int, float)) and 0 < fraction < 1,
              "split.train_fraction must be in (0, 1)")
@@ -118,23 +151,26 @@ def validate_config(config: dict) -> dict:
     for slot in ("algorithm_a", "algorithm_b"):
         algo = config.get(slot)
         _require(isinstance(algo, dict), f"{slot} must be an object")
+        _require_keys(algo, ("name", "model", "explainer", *EXPLAINER_DEFAULTS), slot)
         algo = dict(algo)
         algo.setdefault("name", slot)
         model = algo.get("model")
         _require(isinstance(model, dict), f"{slot}.model must be an object")
         is_stack = "stack" in model
         if is_stack:
+            _require_keys(model, ("stack",), f"{slot}.model")
             stack = model["stack"]
+            _require(isinstance(stack, dict), f"{slot}.model.stack must be an object")
+            _require_keys(stack, ("first_level", "second_level", "folds"),
+                          f"{slot}.model.stack")
             _require(isinstance(stack.get("first_level"), list) and stack["first_level"],
                      f"{slot}.model.stack.first_level must be a non-empty list")
-            for m in stack["first_level"] + [stack.get("second_level")]:
-                _require(isinstance(m, dict) and m.get("kind") in ("logreg", "tree", "mlp"),
-                         f"{slot}: every stack member needs kind in logreg/tree/mlp")
-            _require(isinstance(stack.get("folds", 5), int) and stack.get("folds", 5) >= 2,
-                     f"{slot}.model.stack.folds must be >= 2")
+            for i, m in enumerate(stack["first_level"]):
+                _require_member(m, f"{slot}.model.stack.first_level[{i}]")
+            _require_member(stack.get("second_level"), f"{slot}.model.stack.second_level")
+            _require_count(stack.get("folds", 5), 2, f"{slot}.model.stack.folds")
         else:
-            _require(model.get("kind") in ("logreg", "tree", "mlp"),
-                     f"{slot}.model.kind must be one of logreg/tree/mlp")
+            _require_member(model, f"{slot}.model")
         explainer = algo.setdefault("explainer", "blackbox")
         _require(explainer in ("blackbox", "basic_join"),
                  f"{slot}.explainer must be 'blackbox' or 'basic_join'")
@@ -142,6 +178,10 @@ def validate_config(config: dict) -> dict:
                  f"{slot}: basic_join needs a stacked model")
         for key, default in EXPLAINER_DEFAULTS.items():
             algo.setdefault(key, default)
+        _require(algo["mode"] in ("auto", "exact", "sampled"),
+                 f"{slot}.mode must be 'auto', 'exact' or 'sampled'")
+        _require_count(algo["n_samples"], 1, f"{slot}.n_samples")
+        _require_count(algo["background_size"], 1, f"{slot}.background_size")
         algorithms[slot] = algo
 
     metrics = dict(METRICS_DEFAULTS)
@@ -156,12 +196,19 @@ def validate_config(config: dict) -> dict:
                  f"metrics.{key} must be of the type of its default "
                  f"{default!r}, got {value!r}")
     metrics.update(user_metrics)
+    for key, minimum in METRICS_MINIMA.items():
+        _require(metrics[key] >= minimum,
+                 f"metrics.{key} must be >= {minimum}, got {metrics[key]!r}")
+    _require(0 < metrics["confidence_level"] < 1,
+             f"metrics.confidence_level must be in (0, 1), "
+             f"got {metrics['confidence_level']!r}")
     if metrics["statistics"]:
         _require(len(norm_datasets) >= 2,
                  "statistics need >= 2 datasets (set metrics.statistics=false "
                  "for single-dataset runs)")
 
     output = dict(config.get("output", {}))
+    _require_keys(output, ("store_root", "report_dir"), "output")
     output.setdefault("store_root", "studies")
     output.setdefault("report_dir", "reports")
 

@@ -65,13 +65,32 @@ class TestAverageRanks:
             assert ranks.tobytes() == rankdata(values).tobytes()
             assert ranks.tolist() == _midranks(list(values))
 
-    def test_import_does_not_load_scipy_stats(self):
+    def test_import_loads_no_scipy_module(self):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(gridbench.__file__).resolve().parents[1]))
-        probe = "import sys, gridbench; print('scipy.stats' in sys.modules)"
+        probe = ("import sys, gridbench; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+
+
+class TestNormalDistribution:
+    def test_cdf_and_quantile_match_scipy_special(self):
+        # independent route: scipy's ndtr/ndtri on the range the BCa
+        # corrections and Wilcoxon's normal approximation reach
+        from scipy.special import ndtr, ndtri
+
+        from gridbench.stats import _NORMAL
+
+        z = np.linspace(-8.0, 8.0, 16001)
+        cdf = np.array([_NORMAL.cdf(v) for v in z])
+        assert np.max(np.abs(cdf - ndtr(z))) < 1e-14
+        p = np.concatenate([np.geomspace(1e-9, 1e-3, 2000),
+                            np.linspace(1e-3, 1.0 - 1e-3, 9999),
+                            1.0 - np.geomspace(1e-3, 1e-6, 2000)])
+        quantile = np.array([_NORMAL.inv_cdf(v) for v in p])
+        assert np.max(np.abs(quantile - ndtri(p))) < 1e-14
 
 
 class TestWilcoxon:
@@ -231,6 +250,14 @@ class TestBootstrap:
         small = bootstrap_ci_mean_diff(small_a, small_b, seed=2)
         big = bootstrap_ci_mean_diff(big_a, big_b, seed=2)
         assert (big.high - big.low) < (small.high - small.low)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+    def test_level_outside_unit_interval_raises(self, level):
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        for x, y in ((a, b), ([2.0, 2.0], [1.0, 1.0])):  # bca and degenerate paths
+            with pytest.raises(ValueError, match="level"):
+                bootstrap_ci_mean_diff(x, y, level=level, n_resamples=50)
 
     def test_bca_is_default_method(self):
         rng = np.random.default_rng(15)

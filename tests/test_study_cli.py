@@ -49,6 +49,34 @@ def tiny_config(store_root="studies", report_dir="reports", master_seed=7):
     }
 
 
+# One mistake per case: where it sits, the key the error must name, its value.
+CONFIG_MISTAKES = [
+    (("algorithm_b",), "explaner", "basic_join"),
+    (("algorithm_a",), "backgroud_size", 8),
+    (("algorithm_a", "model"), "hyperr", {}),
+    (("algorithm_a", "model", "hyper"), "epoch", 10),
+    (("algorithm_b", "model"), "kind", "logreg"),
+    (("algorithm_b", "model", "stack"), "fold", 3),
+    (("algorithm_b", "model", "stack", "first_level", 0), "hypr", {}),
+    (("algorithm_b", "model", "stack", "second_level", "hyper"), "max_depth", 3),
+    (("algorithm_b", "model", "stack", "second_level"), "knd", "tree"),
+    (("split",), "train_fracton", 0.5),
+    (("output",), "store_rot", "elsewhere"),
+    (("metrics",), "confidence_level", 1.0),
+    (("metrics",), "bootstrap_resamples", 0),
+    (("metrics",), "explain_instances", 0),
+    (("metrics",), "sens_radius", -0.01),
+    (("metrics",), "n_probes", -1),
+    (("metrics",), "morf_k", 0),
+    (("metrics",), "robustness_instances", 1),
+    (("metrics",), "lipschitz_max_pairs", 0),
+    (("algorithm_a",), "mode", "fast"),
+    (("algorithm_a",), "background_size", 0),
+    (("algorithm_a",), "background_size", 1.5),
+    (("algorithm_a",), "n_samples", 0),
+]
+
+
 class TestValidateConfig:
     def test_defaults_applied(self):
         config = validate_config(tiny_config())
@@ -328,6 +356,27 @@ class TestCli:
             config["metrics"][key] = value
             with pytest.raises(InvalidConfig, match=key):
                 validate_config(config)
+
+    @pytest.mark.parametrize("path, key, value", CONFIG_MISTAKES,
+                             ids=[".".join(map(str, (*path, key)))
+                                  for path, key, _ in CONFIG_MISTAKES])
+    def test_config_mistake_exits_1_before_training(self, tmp_path, capsys,
+                                                    monkeypatch, path, key, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        config = tiny_config()
+        section = config
+        for step in path:
+            section = section[step]
+        section[key] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(config_path)]) == 1
+        error_lines = [line for line in capsys.readouterr().err.splitlines()
+                       if line.startswith("error:")]
+        assert error_lines and key in error_lines[0]
 
     def test_validate_fixture_exits_0(self, tmp_path):
         record_path = tmp_path / "record.json"

@@ -1,12 +1,16 @@
 """Model-agnostic Shapley-value explanations and ensemble composition.
 
-The value function is marginal (interventional): v(S) is the mean model
-score over background rows with the explained instance's values imposed on
-the coalition S. Exact mode enumerates all 2^d coalitions (d <= 12), and
-a row explained after the first scores only the coalitions where it
-differs from the first; sampled mode uses seeded permutation sampling.
-``basic_join_explain`` composes per-model first-level attributions with the
-second-level attribution vector via a matrix product.
+Shapley players are dataset features: the ``Background`` maps each column
+to its player, so a one-hot block enters or leaves a coalition whole and
+every imputed row is one the preprocessing could produce. The value
+function is marginal (interventional): v(S) is the mean model score over
+background rows with the explained instance's values imposed on the
+players in S. Exact mode enumerates all 2^G coalitions of the G players
+(G <= 12), and a row explained after the first scores only the coalitions
+holding a player where it differs from the first; sampled mode uses seeded
+permutation sampling of the players. ``basic_join_explain`` composes
+per-model first-level attributions with the second-level attribution
+vector via a matrix product.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ EXACT_DIMENSION_LIMIT = 12
 
 @dataclass(frozen=True)
 class Explanation:
-    """Additive per-feature attribution of one model output."""
+    """Additive per-player attribution of one model output."""
 
     phi: np.ndarray
     base_value: float
@@ -37,33 +41,72 @@ class Explanation:
 
 @dataclass(frozen=True)
 class Background:
-    """Reference rows the value function imputes absent features from."""
+    """Reference rows the value function imputes absent players from.
+
+    ``players`` maps each column to its Shapley player, numbered 0..G-1;
+    ``numeric`` marks the columns a perturbation may move, the same for
+    every column of a player. By default every column is its own numeric
+    player. ``FittedPipeline.players`` gives a dataset's grouping.
+    """
 
     rows: np.ndarray
+    players: np.ndarray | None = None
+    numeric: np.ndarray | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("background needs at least one row")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        d = rows.shape[1]
+        players = np.asarray(np.arange(d) if self.players is None else self.players,
+                             dtype=np.intp)
+        numeric = np.asarray(np.ones(d) if self.numeric is None else self.numeric,
+                             dtype=bool)
+        if players.shape != (d,) or numeric.shape != (d,):
+            raise ValueError("players and numeric need one entry per column")
+        first = np.unique(players, return_index=True)[1]
+        if not np.array_equal(players[first], np.arange(first.size)):
+            raise ValueError("players must be numbered 0..G-1")
+        if not np.array_equal(numeric, numeric[first][players]):
+            raise ValueError("a player's columns must be all numeric or all not")
+        for name, array in (("rows", rows), ("players", players), ("numeric", numeric)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def n_players(self) -> int:
+        return int(self.players.max(initial=-1)) + 1
+
     def mean(self) -> np.ndarray:
         return self.rows.mean(axis=0)
 
+    def baseline(self) -> np.ndarray:
+        """The point that removes every player: the background mean on
+        numeric columns, and on each other player's columns its most
+        frequent block among the rows (the first seen on ties)."""
+        point = self.mean()
+        for player in np.unique(self.players[~self.numeric]):
+            columns = self.players == player
+            blocks, first, counts = np.unique(self.rows[:, columns], axis=0,
+                                              return_index=True, return_counts=True)
+            point[columns] = blocks[np.lexsort((first, -counts))[0]]
+        return point
 
-def sample_background(X: np.ndarray, size: int = 100, seed: int = 0) -> Background:
-    """Seeded sample of up to ``size`` training rows (all rows if fewer)."""
+
+def sample_background(X: np.ndarray, size: int = 100, seed: int = 0,
+                      players=None, numeric=None) -> Background:
+    """Seeded sample of up to ``size`` training rows (all rows if fewer),
+    with the column grouping of ``Background``."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] <= size:
-        return Background(X.copy())
+        return Background(X.copy(), players, numeric)
     rng = np.random.default_rng(seed)
     idx = rng.choice(X.shape[0], size=size, replace=False)
-    return Background(X[np.sort(idx)])
+    return Background(X[np.sort(idx)], players, numeric)
 
 
 def _prepare(model, x, background, mode: str) -> tuple[np.ndarray, bool, bool]:
@@ -77,24 +120,28 @@ def _prepare(model, x, background, mode: str) -> tuple[np.ndarray, bool, bool]:
         raise DimensionMismatch(f"instance has {d} features, model wants {dim}")
     if not isinstance(background, Background):
         raise TypeError("background must be a Background (see sample_background)")
+    if background.rows.shape[1] != d:
+        raise DimensionMismatch(
+            f"instance has {d} features, background {background.rows.shape[1]}")
+    g = background.n_players
     if mode == "auto":
-        mode = "exact" if d <= EXACT_DIMENSION_LIMIT else "sampled"
-    if mode == "exact" and d > EXACT_DIMENSION_LIMIT:
+        mode = "exact" if g <= EXACT_DIMENSION_LIMIT else "sampled"
+    if mode == "exact" and g > EXACT_DIMENSION_LIMIT:
         raise ExactTooLarge(
-            f"exact enumeration needs d <= {EXACT_DIMENSION_LIMIT}, got {d}")
+            f"exact enumeration needs at most {EXACT_DIMENSION_LIMIT} players, got {g}")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     return np.atleast_2d(X), X.ndim == 1, mode == "exact"
 
 
 @lru_cache(maxsize=None)
-def _coalition_tables(d: int):
-    """Coalition bits and, per feature i, (S without i, S with i, Shapley weights)."""
-    masks = np.arange(1 << d)
-    bits = ((masks[:, None] >> np.arange(d)[None, :]) & 1).astype(bool)
-    weights = np.array([factorial(s) * factorial(d - s - 1) / factorial(d)
-                        for s in range(d)])
-    without = [masks[~bits[:, i]] for i in range(d)]
+def _coalition_tables(g: int):
+    """Coalition bits and, per player i, (S without i, S with i, Shapley weights)."""
+    masks = np.arange(1 << g)
+    bits = ((masks[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)
+    weights = np.array([factorial(s) * factorial(g - s - 1) / factorial(g)
+                        for s in range(g)])
+    without = [masks[~bits[:, i]] for i in range(g)]
     pairs = tuple((wo, wo | (1 << i), weights[bits[wo].sum(axis=1)])
                   for i, wo in enumerate(without))
     for array in (bits, *(a for pair in pairs for a in pair)):
@@ -107,7 +154,7 @@ def _explain_all(models, X, background: Background, exact: bool,
     """Per model, the explanation of each row of X.
 
     Exact mode scores all models on one coalition matrix per row; a row
-    after row 0 scores only the coalitions holding a feature where it
+    after row 0 scores only the coalitions holding a player where it
     differs from row 0 and copies the rest from row 0, whose imputed rows
     are the same.
     """
@@ -115,14 +162,15 @@ def _explain_all(models, X, background: Background, exact: bool,
         return [[_sampled_shapley(model, x, background, n_samples, seed) for x in X]
                 for model in models]
     n, d = X.shape
-    bits, pairs = _coalition_tables(d)
-    v = np.empty((len(models), n, 1 << d))
+    bits, pairs = _coalition_tables(background.n_players)
+    held = bits[:, background.players]  # (coalition, column): column's player in S
+    v = np.empty((len(models), n, len(bits)))
     for r, x in enumerate(X):
-        todo = np.flatnonzero((r == 0) | bits[:, x != X[0]].any(axis=1))
+        todo = np.flatnonzero((r == 0) | held[:, x != X[0]].any(axis=1))
         v[:, r] = v[:, 0]  # what row r shares with row 0 (row 0 rescores all)
         if todo.size:
-            # (coalition, background, feature): instance value on the coalition
-            z = np.where(bits[todo, None, :], x, background.rows[None, :, :]).reshape(-1, d)
+            # (coalition, background, column): instance value on the coalition
+            z = np.where(held[todo, None, :], x, background.rows[None, :, :]).reshape(-1, d)
             scores = np.vstack([model.score(z) for model in models])
             v[:, r, todo] = scores.reshape(len(models), todo.size, -1).mean(axis=2)
     return [[Explanation(phi=np.array([np.dot(w, v_r[with_i] - v_r[without])
@@ -134,24 +182,25 @@ def _explain_all(models, X, background: Background, exact: bool,
 def _sampled_shapley(model, x, background: Background, n_samples: int,
                      seed: int) -> Explanation:
     d = x.shape[0]
+    g = background.n_players
     bg = background.rows
     rng = np.random.default_rng(seed)
 
     row_idx = rng.integers(0, bg.shape[0], size=n_samples)
-    perms = rng.permuted(np.tile(np.arange(d), (n_samples, 1)), axis=1)
+    perms = rng.permuted(np.tile(np.arange(g), (n_samples, 1)), axis=1)
 
     # prefix points per permutation: start at the background row, switch one
-    # feature at a time to the instance value
-    points = np.empty((n_samples, d + 1, d), dtype=np.float64)
+    # player's columns at a time to the instance values
+    points = np.empty((n_samples, g + 1, d), dtype=np.float64)
     points[:, 0, :] = bg[row_idx]
-    for k in range(d):
-        points[:, k + 1, :] = points[:, k, :]
-        points[np.arange(n_samples), k + 1, perms[:, k]] = x[perms[:, k]]
+    for k in range(g):
+        switch = background.players[None, :] == perms[:, k, None]
+        points[:, k + 1, :] = np.where(switch, x, points[:, k, :])
 
-    scores = model.score(points.reshape(n_samples * (d + 1), d))
-    marginals = np.diff(scores.reshape(n_samples, d + 1), axis=1)
+    scores = model.score(points.reshape(n_samples * (g + 1), d))
+    marginals = np.diff(scores.reshape(n_samples, g + 1), axis=1)
 
-    phi = np.zeros(d)
+    phi = np.zeros(g)
     np.add.at(phi, perms.ravel(), marginals.ravel())
     phi /= n_samples
     return Explanation(phi=phi, base_value=float(model.score(bg).mean()))
@@ -163,11 +212,12 @@ def shapley_explain(model, x, background: Background, mode: str = "auto",
     """Shapley attribution of model.score at x against a background sample.
 
     ``x`` is one instance, or a matrix of instances that gives a list of
-    their explanations. ``mode`` is "exact" (full coalition enumeration,
-    d <= 12), "sampled" (seeded permutation sampling of ``n_samples``
-    permutations, at the one seed for every row), or "auto"
-    (exact iff the dimension allows it). Exact mode satisfies local
-    accuracy: base_value + sum(phi) equals score(x) to float precision.
+    their explanations; phi has one entry per player of ``background``.
+    ``mode`` is "exact" (full coalition enumeration, G <= 12 players),
+    "sampled" (seeded permutation sampling of ``n_samples`` permutations,
+    at the one seed for every row), or "auto" (exact iff the player count
+    allows it). Exact mode satisfies local accuracy: base_value + sum(phi)
+    equals score(x) to float precision.
     """
     X, single, exact = _prepare(model, x, background, mode)
     explanations = _explain_all([model], X, background, exact,
@@ -178,14 +228,15 @@ def shapley_explain(model, x, background: Background, mode: str = "auto",
 def join_attributions(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The basic-join composition: feature attribution = A @ w.
 
-    Column j of A is the attribution vector of first-level model j; w is
-    the second-level attribution over the first-level score inputs.
+    Column j of A is the per-player attribution vector of first-level
+    model j; w is the second-level attribution over the first-level score
+    inputs.
     """
     A = np.asarray(A, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if A.ndim != 2 or w.ndim != 1 or A.shape[1] != w.shape[0]:
         raise DimensionMismatch(
-            f"join needs (d, m) attributions and an m-vector, got {A.shape}, {w.shape}")
+            f"join needs (G, m) attributions and an m-vector, got {A.shape}, {w.shape}")
     return A @ w
 
 
@@ -194,12 +245,12 @@ def basic_join_explain(ens: StackedEnsemble, x, background: Background,
                        seed: int = 0) -> Explanation | list[Explanation]:
     """Compose first-level feature attributions with second-level weights.
 
-    Each first-level model is explained on the raw features; the second
-    level is explained on the first-level score vector against the
-    background's score vectors. The result is A @ w with the second-level
-    base value, so the first-level models' contributions to the second-level
-    output distribute over the input features. ``x`` is as for
-    ``shapley_explain``.
+    Each first-level model is explained on the players of ``background``;
+    the second level is explained on the first-level score vector against
+    the background's score vectors, one player per score. The result is
+    A @ w with the second-level base value, so the first-level models'
+    contributions to the second-level output distribute over the players.
+    ``x`` is as for ``shapley_explain``.
     """
     X, single, exact = _prepare(ens, x, background, mode)
     first = _explain_all(ens.first_level, X, background, exact,

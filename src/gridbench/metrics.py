@@ -4,7 +4,9 @@ Explanation metrics consume an explainer callable with the signature
 ``explain(model, x, background, seed) -> Explanation`` (see
 ``explain.build_explainer``). ``explanation_metrics_suite`` explains each
 instance once, in one call with its ``sens_max`` candidates; the error,
-``sens_max`` (as its reference) and the MoRF order all use it.
+``sens_max`` (as its reference) and the MoRF order all use it. The
+background's grouping decides what the perturbation metrics may touch:
+``sens_max`` moves numeric columns only, and MoRF removes whole players.
 Every metric is a pure function of its inputs and seeds; per-instance
 seeds derive from (master seed, index) so aggregates are
 schedule-independent.
@@ -102,16 +104,20 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
 
 # --- explanation stability ------------------------------------------------------
 
-def _sens_points(x: np.ndarray, r: float, n_probes: int, seed: int) -> np.ndarray:
-    """x followed by its ``sens_max`` candidates (none when r is 0)."""
+def _sens_points(x: np.ndarray, r: float, n_probes: int, seed: int,
+                 numeric: np.ndarray) -> np.ndarray:
+    """x followed by its ``sens_max`` candidates, which move only the
+    ``numeric`` columns (none when r is 0 or no column is numeric)."""
     if r < 0:
         raise ValueError("perturbation radius must be >= 0")
-    if r == 0.0:
+    if r == 0.0 or not numeric.any():
         return x[None, :]
-    d = x.shape[0]
+    axes = r * np.eye(x.shape[0])[numeric]
+    corner = r * numeric
+    probes = np.zeros((int(n_probes), x.shape[0]))
     rng = np.random.default_rng(derive_seed(seed, "sens_probes"))
-    return np.vstack([x, x + r * np.eye(d), x - r * np.eye(d), x + r, x - r,
-                      x + rng.uniform(-r, r, size=(int(n_probes), d))])
+    probes[:, numeric] = rng.uniform(-r, r, size=(int(n_probes), axes.shape[0]))
+    return np.vstack([x, x + axes, x - axes, x + corner, x - corner, x + probes])
 
 
 def _max_shift(phi: np.ndarray, explanations) -> float:
@@ -122,16 +128,19 @@ def sens_max(explain_fn, model, x, phi, r: float, n_probes: int = 8,
              seed: int = 0, *, background: Background) -> float:
     """Maximum observed explanation shift under inf-ball input perturbations.
 
-    Candidates: the 2d axis-extreme points x +- r*e_i, the two diagonal
-    corners x +- r*1, and ``n_probes`` seeded uniform draws from the ball.
-    ``phi`` is the reference attribution of x from ``explain_fn`` at
-    ``derive_seed(seed, "sens_explain")``; x and every candidate are
-    explained in one call at that seed (common random numbers, so
-    sampled-mode noise does not register as sensitivity). The result is a
-    lower bound on the true maximum.
+    The ball spans the d_num numeric columns of ``background``; one-hot
+    columns stay as they are. Candidates: the 2*d_num axis-extreme points
+    x +- r*e_i, the two diagonal corners, and ``n_probes`` seeded uniform
+    draws from the ball. With no numeric column there is no candidate and
+    the result is 0.0, as for r = 0. ``phi`` is the reference attribution
+    of x from ``explain_fn`` at ``derive_seed(seed, "sens_explain")``; x
+    and every candidate are explained in one call at that seed (common
+    random numbers, so sampled-mode noise does not register as
+    sensitivity). The result is a lower bound on the true maximum.
     """
-    points = _sens_points(np.asarray(x, dtype=np.float64), r, n_probes, seed)
-    if r == 0.0:
+    points = _sens_points(np.asarray(x, dtype=np.float64), r, n_probes, seed,
+                          background.numeric)
+    if len(points) == 1:
         return 0.0
     explained = explain_fn(model, points, background,
                            seed=derive_seed(seed, "sens_explain"))
@@ -144,18 +153,20 @@ def morf_curve(model, x, K: int, background: Background,
                order: np.ndarray) -> np.ndarray:
     """Model scores along the most-relevant-first perturbation path.
 
-    Point k replaces the first k features of ``order`` (most relevant
-    first) with the background mean; point 0 is the unperturbed instance.
-    Returns K+1 scores.
+    Point k removes the first k players of ``order`` (most relevant first)
+    by setting their columns to ``background.baseline()``: the background
+    mean for a numeric column, the most frequent block for a one-hot
+    block. Point 0 is the unperturbed instance. Returns K+1 scores.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    if not 1 <= K <= d:
-        raise KOutOfRange(f"K={K} outside 1..{d}")
-    mean = background.mean()
+    g = background.n_players
+    if not 1 <= K <= g:
+        raise KOutOfRange(f"K={K} outside 1..{g}")
+    baseline = background.baseline()
     points = np.tile(x, (K + 1, 1))
     for k in range(1, K + 1):
-        points[k:, order[k - 1]] = mean[order[k - 1]]
+        columns = background.players == order[k - 1]
+        points[k:, columns] = baseline[columns]
     return model.score(points)
 
 
@@ -298,17 +309,17 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
 
     Each instance is explained once, with its ``sens_max`` candidates, for
     the error, the ``sens_max`` reference and the MoRF order (ties broken
-    by lower feature index).
+    by lower player index). MoRF removes min(K, G) of the G players.
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     scores = model.score(instances)
     errors = []
     sens_values = []
     morf_values = []
-    K_eff = min(K, instances.shape[1])
+    K_eff = min(K, background.n_players)
     for i, x in enumerate(instances):
         sens_seed = derive_seed(seed, "sens", i)
-        points = _sens_points(x, r, n_probes, sens_seed)
+        points = _sens_points(x, r, n_probes, sens_seed, background.numeric)
         expl, *candidates = explain_fn(model, points, background,
                                        seed=derive_seed(sens_seed, "sens_explain"))
         errors.append(abs(expl.prediction() - float(scores[i])))

@@ -222,10 +222,11 @@ class DecisionTreeModel(TrainedModel):
     def score(self, X):
         """Descends all rows together, one tree level per step."""
         X = self._check_dim(X)
-        rows = np.arange(X.shape[0])
+        flat = X.ravel()  # each level gathers its split values by flat index
+        row_start = np.arange(X.shape[0]) * X.shape[1]
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self._depth):
-            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            go_left = flat[row_start + self._feature[node]] <= self._threshold[node]
             node = np.where(go_left, self._left[node], self._right[node])
         return self._value[node]
 

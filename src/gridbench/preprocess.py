@@ -62,6 +62,24 @@ class FittedPipeline:
                                                   for v in np.ravel(arr)))
         return sha256_hex("\n".join(parts))
 
+    def players(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per output column, its Shapley player and whether it is numeric.
+
+        Each numeric column is one player, each one-hot block is one
+        (non-numeric) player, and with PCA each component is one numeric
+        player. These are ``Background``'s ``players`` and ``numeric``.
+        """
+        if self.pca_components_matrix is not None:
+            k = self.output_dimension
+            return np.arange(k), np.ones(k, dtype=bool)
+        features = [(1, True) if desc.kind == NUMERIC
+                    else (len(self.onehot_categories[j]), False)
+                    for j, desc in enumerate(self.input_descriptors)
+                    if desc.kind == NUMERIC or j in self.onehot_categories]
+        widths = [width for width, _ in features]
+        return (np.repeat(np.arange(len(features)), widths),
+                np.repeat([kind for _, kind in features], widths).astype(bool))
+
 
 def _encode(pipeline: FittedPipeline, features: np.ndarray) -> np.ndarray:
     """Expand raw cells into the post-encoding numeric matrix."""

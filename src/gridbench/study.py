@@ -269,6 +269,7 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
     X_train = apply_pipeline(pipeline, pair.train)
     X_test = apply_pipeline(pipeline, pair.test)
     y_train, y_test = pair.train.labels, pair.test.labels
+    players, numeric = pipeline.players()
 
     mcfg = config["metrics"]
     rng_pick = np.random.default_rng(derive_seed(master, "instances", index))
@@ -328,7 +329,7 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
 
             background_seed = derive_seed(master, "background", index)
             background = sample_background(X_train, algo["background_size"],
-                                           background_seed)
+                                           background_seed, players, numeric)
             explain_fn = build_explainer(algo["explainer"], algo["mode"],
                                          algo["n_samples"])
             t0 = time.perf_counter()

@@ -112,3 +112,23 @@ def trained_stack(blob_matrices):
     X_train, y_train, _, _ = blob_matrices
     return train_stack([("logreg", {}), ("tree", {}), ("mlp", {"epochs": 200})],
                        ("logreg", {}), X_train, y_train, folds=5, seed=9)
+
+
+@pytest.fixture(scope="session")
+def categorical_data():
+    """4 numeric features and 2 three-category ones: 10 columns, 6 players."""
+    spec = SyntheticSpec(n=160, d_numeric=4, d_categorical=2,
+                         categories_per_feature=3, anomaly_fraction=0.3,
+                         class_separation=1.5, name="mixed")
+    pair = split(generate_synthetic(spec, seed=17), 0.7, seed=3)
+    pipeline = fit_pipeline(pair.train, PipelineConfig())
+    return (pipeline, apply_pipeline(pipeline, pair.train), pair.train.labels,
+            apply_pipeline(pipeline, pair.test))
+
+
+@pytest.fixture(scope="session")
+def categorical_stack(categorical_data):
+    _, X_train, y_train, _ = categorical_data
+    return train_stack([("logreg", {"epochs": 60}), ("tree", {}),
+                        ("mlp", {"epochs": 60})],
+                       ("logreg", {"epochs": 60}), X_train, y_train, folds=3, seed=5)

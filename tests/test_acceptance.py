@@ -32,11 +32,14 @@ from gridbench.stats import bootstrap_ci_mean_diff, cohens_d, effect_label, wilc
 from gridbench.store import validate
 from gridbench.study import run_study
 from test_stats import wilcoxon_brute_force
+from test_study_cli import tiny_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: shapley_explain(  # noqa: E731
     model, x, background, mode="exact", seed=seed)
-CASE_STUDY_DIGEST = "7032dfe7fda5bb5252d38611429445b86877f62d6df0ecca3b58182d9d03896b"
+CASE_STUDY_DIGEST = "2b2e13d35fde259f46947daf894075d79f8273c967b8206fc19191099e1c510f"
+# numeric-only: every column is its own player, so player grouping leaves it as it was
+TINY_CONFIG_DIGEST = "f182488274bbf84e7bc7445e080d1e0df6c9c99cc4a0fb724a9eb8956391de0d"
 
 
 def _exact_order(model, x, background):
@@ -364,3 +367,12 @@ def test_end_to_end_case_study(tmp_path):
     _report(f"end-to-end case study: {elapsed:.0f}s, schema-valid record, "
             "sens_max estimation plot, finite comparison stats, rerun digest "
             "equal")
+
+
+def test_numeric_only_study_keeps_its_digest(tmp_path):
+    """The numeric-only tiny study reproduces its pinned digest."""
+    record = run_study(tiny_config(), base_dir=tmp_path)
+    assert record["reproducibility_digest"] == TINY_CONFIG_DIGEST, (
+        "the numeric-only study digest changed; a declared digest break must "
+        "update TINY_CONFIG_DIGEST in the same change")
+    _report("numeric-only tiny study: digest pinned")

@@ -14,7 +14,9 @@ from gridbench.explain import (
     sample_background,
     shapley_explain,
 )
+from gridbench.data import SyntheticSpec, generate_synthetic, split
 from gridbench.models import train, train_stack
+from gridbench.preprocess import PipelineConfig, apply_pipeline, fit_pipeline
 
 
 def _background_with_zero_mean(d=2):
@@ -120,6 +122,8 @@ class TestExactShapley:
         bg = _background_with_zero_mean(2)
         with pytest.raises(DimensionMismatch):
             shapley_explain(LinearStub([1.0, 2.0]), np.ones(3), bg)
+        with pytest.raises(DimensionMismatch):  # background of another width
+            shapley_explain(LinearStub([1.0, 2.0, 3.0]), np.ones(3), bg)
 
 
 class TestSampledShapley:
@@ -428,3 +432,114 @@ class TestCoalitionEngine:
         shapley_explain(Counting(np.ones(d)), points, Background(np.zeros((b, d))),
                         mode="exact")
         assert scored == [b * 2**d, b * 2**(d - 1)]
+
+
+def _grouped(rows, players, numeric=None):
+    return Background(rows, np.array(players), numeric)
+
+
+class TestPlayers:
+    def test_background_defaults_to_one_numeric_player_per_column(self):
+        bg = Background(np.zeros((2, 3)))
+        assert bg.players.tolist() == [0, 1, 2]
+        assert bg.numeric.tolist() == [True, True, True]
+        assert bg.n_players == 3
+
+    @pytest.mark.parametrize("players, numeric", [
+        ([0, 2, 2], None),                 # player 1 missing
+        ([0, 1], None),                    # one entry short
+        ([0, 1, 1], [True, True, False]),  # a player half numeric
+    ])
+    def test_background_rejects_bad_grouping(self, players, numeric):
+        with pytest.raises(ValueError):
+            Background(np.zeros((2, 3)), players, numeric)
+
+    def test_baseline_is_mean_and_most_frequent_block(self):
+        rows = np.array([[0.0, 0, 1, 0, 1],
+                         [1.0, 1, 0, 0, 0],
+                         [2.0, 1, 0, 0, 1],
+                         [5.0, 0, 1, 0, 0]])
+        bg = _grouped(rows, [0, 1, 1, 1, 2], [True, False, False, False, True])
+        # blocks (0,1,0) and (1,0,0) tie twice each: the first seen wins
+        assert bg.baseline().tolist() == [2.0, 0.0, 1.0, 0.0, 0.5]
+        assert np.array_equal(Background(rows).baseline(), rows.mean(axis=0))
+
+    def test_grouped_linear_closed_form(self):
+        # a player's attribution is its columns' w_c * (x_c - mu_c)
+        rng = np.random.default_rng(1)
+        w, x = rng.normal(size=5), rng.normal(size=5)
+        bg = _grouped(rng.normal(size=(9, 5)), [0, 1, 1, 2, 2])
+        phi = shapley_explain(LinearStub(w), x, bg, mode="exact").phi
+        per_column = w * (x - bg.mean())
+        assert np.allclose(phi, [per_column[0], per_column[1:3].sum(),
+                                 per_column[3:].sum()], atol=1e-12)
+
+    def test_grouped_exact_matches_permutation_definition(self, stacks):
+        import itertools
+
+        ens, X = stacks[8]
+        players = [0, 0, 1, 2, 2, 2, 3, 4]
+        bg = _grouped(X[-6:], players)
+        owner = np.array(players)
+
+        def v(S, x):
+            held = np.isin(owner, list(S))
+            return float(ens.score(np.where(held, x, bg.rows)).mean())
+
+        x = X[0]
+        phi = np.zeros(5)
+        for perm in itertools.permutations(range(5)):
+            for k, p in enumerate(perm):
+                phi[p] += v(perm[:k + 1], x) - v(perm[:k], x)
+        phi /= factorial(5)
+        got = shapley_explain(ens, x, bg, mode="exact")
+        assert np.max(np.abs(got.phi - phi)) < 1e-12
+        assert abs(got.prediction() - float(ens.score(x[None, :])[0])) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    def test_grouped_rows_match_one_call_per_point(self, stacks, kind):
+        # row reuse asks which players differ: a candidate that moves one
+        # column of a player rescores every coalition holding that player
+        ens, X = stacks[8]
+        bg = _grouped(X[-40:], [0, 1, 2, 3, 4, 5, 5, 5],
+                      [True] * 5 + [False] * 3)
+        points = _with_candidates(X[0], n_probes=8)
+        got = _engine(kind, ens, points, bg, mode="exact")
+        for g, x in zip(got, points):
+            want = _engine(kind, ens, x, bg, mode="exact")
+            assert g.phi.tobytes() == want.phi.tobytes()
+            assert g.base_value == want.base_value
+
+    def test_grouped_sampling_switches_whole_players(self):
+        # one background row: every permutation moves player p from bg to x
+        w = np.array([1.0, -2.0, 0.5, 3.0])
+        bg = _grouped(np.array([[0.2, 0.1, 0.4, 0.3]]), [0, 1, 1, 2])
+        x = np.array([1.0, 1.0, 0.0, 0.0])
+        got = shapley_explain(LinearStub(w), x, bg, mode="sampled", n_samples=7)
+        shift = w * (x - bg.rows[0])
+        assert np.allclose(got.phi, [shift[0], shift[1] + shift[2], shift[3]],
+                           atol=1e-12)
+
+    def test_players_not_columns_decide_exact_mode(self):
+        # 4 numeric + 2 six-category features: 16 columns, 6 players
+        spec = SyntheticSpec(n=300, d_numeric=4, d_categorical=2,
+                             categories_per_feature=6, class_separation=1.0)
+        pair = split(generate_synthetic(spec, seed=2), 0.7, seed=2)
+        pipeline = fit_pipeline(pair.train, PipelineConfig())
+        X = apply_pipeline(pipeline, pair.train)
+        assert X.shape[1] == 16
+        model = train("mlp", X, pair.train.labels, {"epochs": 60}, seed=1)
+        rows = []
+
+        class Recording:
+            input_dimension = 16
+
+            def score(self, Z):
+                rows.append(len(Z))
+                return model.score(Z)
+
+        bg = sample_background(X, 10, 0, *pipeline.players())
+        for x in X[:3]:
+            expl = shapley_explain(Recording(), x, bg, mode="auto")
+            assert abs(expl.prediction() - float(model.score(x[None, :])[0])) <= 1e-9
+        assert rows == [10 * 2**6] * 3  # every coalition of 6 players, once

@@ -1,3 +1,4 @@
+import copy
 import inspect
 from dataclasses import astuple
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import AxisThresholdStub, ConstantStub, LinearStub, SingleFeatureStub
+from gridbench.data import SyntheticSpec, generate_synthetic
 from gridbench.errors import (
     AllInstancesIdentical,
     KOutOfRange,
@@ -25,9 +27,11 @@ from gridbench.metrics import (
     classification_metrics,
     explanation_metrics_suite,
     lipschitz_lower,
+    morf_curve,
     robustness_metrics_suite,
     sens_max,
 )
+from gridbench.preprocess import PipelineConfig, apply_pipeline, fit_pipeline
 from gridbench.seeding import derive_seed
 
 EXACT = build_explainer("blackbox", mode="exact")
@@ -574,3 +578,91 @@ class TestSuites:
         b = explanation_metrics_suite(fn, trained_models["mlp"], X_test[:3],
                                       bg, seed=7)
         assert a == b
+
+
+class _Recording:
+    """Forwards score calls to a model and keeps a copy of every row."""
+
+    def __init__(self, model, seen):
+        self.model, self.seen = model, seen
+        self.threshold = model.threshold
+        self.input_dimension = model.input_dimension
+
+    def score(self, X):
+        self.seen.append(np.array(X))
+        return self.model.score(X)
+
+
+class TestPlayersInPerturbations:
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
+    def test_no_invalid_onehot_row_reaches_a_model(
+            self, kind, mode, categorical_data, categorical_stack):
+        # value-function rows, sens_max candidates and MoRF points alike
+        pipeline, X_train, _, X_test = categorical_data
+        players, numeric = pipeline.players()
+        seen = []
+        stack = copy.copy(categorical_stack)
+        stack.first_level = [_Recording(m, seen) for m in stack.first_level]
+        bg = sample_background(X_train, 12, 0, players, numeric)
+        fn = build_explainer(kind, mode=mode, n_samples=40)
+        explanation_metrics_suite(fn, stack, X_test[:3], bg, r=0.05,
+                                  n_probes=3, K=6, seed=1)
+        rows = np.vstack(seen)
+        assert len(rows) > 1000
+        for player in np.unique(players[~numeric]):
+            columns = players == player
+            valid = {tuple(block) for block in X_train[:, columns]}
+            invalid = {tuple(block) for block in rows[:, columns]} - valid
+            assert not invalid, f"player {player} saw blocks {sorted(invalid)}"
+
+    def test_sens_candidates_move_numeric_columns_only(self, categorical_data):
+        pipeline, X_train, _, X_test = categorical_data
+        bg = sample_background(X_train, 8, 0, *pipeline.players())
+        batches = []
+
+        def recording(model, x, background, seed=0):
+            batches.append(np.array(x))
+            return EXACT(model, x, background, seed=seed)
+
+        model = LinearStub(np.linspace(-1.0, 1.0, X_test.shape[1]))
+        explanation_metrics_suite(recording, model, X_test[:2], bg, r=0.05,
+                                  n_probes=3, K=2, seed=0)
+        d_num = int(bg.numeric.sum())
+        for x, batch in zip(X_test[:2], batches):
+            assert batch.shape == (1 + 2 * d_num + 2 + 3, X_test.shape[1])
+            assert np.array_equal(batch[:, ~bg.numeric],
+                                  np.tile(x[~bg.numeric], (len(batch), 1)))
+
+    def test_no_numeric_column_means_no_candidate(self):
+        model = LinearStub([1.0, 2.0, 3.0])
+        bg = Background(np.eye(3), [0, 0, 0], [False, False, False])
+        x = np.array([0.0, 1.0, 0.0])
+        assert sens_max(EXACT, model, x, _phi(model, x, bg), r=0.05,
+                        background=bg) == 0.0
+
+    def test_suite_on_categorical_only_data(self):
+        ds = generate_synthetic(SyntheticSpec(n=60, d_numeric=0, d_categorical=2),
+                                seed=4)
+        pipeline = fit_pipeline(ds, PipelineConfig())
+        X = apply_pipeline(pipeline, ds)
+        bg = sample_background(X, 10, 0, *pipeline.players())
+        model = LinearStub(np.linspace(0.1, 0.6, X.shape[1]))
+        suite = explanation_metrics_suite(EXACT, model, X[:3], bg, r=0.05,
+                                          n_probes=2, K=5, seed=0)
+        assert suite.sens_max == 0.0
+        assert suite.morf_features_evaluated == bg.n_players == 2
+        assert suite.explanation_error < 1e-12
+
+    def test_morf_removes_whole_players(self):
+        rows = np.array([[0.0, 0, 1, 0],
+                         [1.0, 0, 0, 1],
+                         [5.0, 0, 1, 0]])
+        bg = Background(rows, [0, 1, 1, 1], [True, False, False, False])
+        seen = []
+        x = np.array([3.0, 1.0, 0.0, 0.0])
+        morf_curve(_Recording(LinearStub(np.ones(4)), seen), x, 2, bg,
+                   order=np.array([1, 0]))
+        assert seen[0].tolist() == [[3.0, 1, 0, 0], [3.0, 0, 1, 0], [2.0, 0, 1, 0]]
+        with pytest.raises(KOutOfRange):
+            morf_curve(LinearStub(np.ones(4)), x, 3, bg, order=np.array([1, 0]))

@@ -96,6 +96,34 @@ class TestOneHot:
         assert out.shape == (2, 1)
 
 
+class TestPlayers:
+    def test_one_player_per_numeric_column_and_onehot_block(self):
+        ds = _mixed_dataset([(1.0, "tcp"), (2.0, "udp"), (3.0, "icmp")])
+        players, numeric = fit_pipeline(ds, PipelineConfig()).players()
+        assert players.tolist() == [0, 1, 1, 1]
+        assert numeric.tolist() == [True, False, False, False]
+
+    def test_dropped_categoricals_have_no_player(self):
+        ds = _mixed_dataset([(1.0, "tcp"), (2.0, "udp")])
+        pipeline = fit_pipeline(ds, PipelineConfig(use_onehot=False))
+        players, numeric = pipeline.players()
+        assert players.tolist() == [0]
+        assert numeric.tolist() == [True]
+
+    def test_each_pca_component_is_one_numeric_player(self):
+        ds = _mixed_dataset([(1.0, "tcp"), (2.0, "udp"), (4.0, "tcp"), (3.0, "x")])
+        pipeline = fit_pipeline(ds, PipelineConfig(use_pca=True, pca_components=2))
+        players, numeric = pipeline.players()
+        assert players.tolist() == [0, 1]
+        assert numeric.tolist() == [True, True]
+
+    def test_numeric_only_is_the_identity(self, blob_split):
+        pipeline = fit_pipeline(blob_split.train, PipelineConfig())
+        players, numeric = pipeline.players()
+        assert players.tolist() == list(range(pipeline.output_dimension))
+        assert numeric.all()
+
+
 class TestPca:
     def test_rank_one_covariance_oracle(self):
         # oracle: points on the line y=x have a rank-1 covariance, so the

@@ -39,13 +39,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _check_training_inputs(X: np.ndarray, y: np.ndarray):
+def _check_training_inputs(X: np.ndarray, y: np.ndarray, where: str = ""):
     if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("training matrix contains NaN or infinite values")
+        raise NonFiniteFeature(f"{where}training matrix contains NaN or infinite values")
     if X.shape[0] != y.shape[0] or X.shape[0] < 2:
-        raise SingleClassTrainingSet("need >= 2 rows with matching labels")
+        raise SingleClassTrainingSet(f"{where}need >= 2 rows with matching labels")
     if np.unique(y).size < 2:
-        raise SingleClassTrainingSet("training labels contain a single class")
+        raise SingleClassTrainingSet(f"{where}training labels contain a single class")
+
+
+class _Runs:
+    """R gradient-descent runs of one loss in lockstep, run r on rows Xs[r].
+
+    Per-row buffers are stacked zero-padded as (R, m, ...), m the longest run,
+    and elementwise steps span the stack. Matrix products and sums over rows
+    use one run's own rows only (``Xs[r]`` or a view of its first n_r rows),
+    since padding can regroup their additions. Each run is then bit-identical
+    to a lone fit; that is tested with this build's BLAS, and a BLAS whose
+    sums depend on memory alignment could differ in low bits.
+    """
+
+    def __init__(self, Xs, ys):
+        self.Xs = Xs
+        self.rows = [len(y) for y in ys]
+        self.n = np.array(self.rows, dtype=np.float64)[:, None]
+        self.y = self.stack()
+        for r, y in enumerate(ys):
+            self.y[r, :len(y)] = y
+        self.logits = self.stack()
+        self.dz = self.stack()
+        self.logit_rows = self.own(self.logits)
+        self.dz_rows = self.own(self.dz)
+
+    def stack(self, *tail):
+        return np.zeros((len(self.rows), max(self.rows)) + tail)
+
+    def own(self, stack):
+        """Each run's own rows of a stack, as views."""
+        return [stack[r, :k] for r, k in enumerate(self.rows)]
+
+    def output_step(self, inputs, w, b, g_w, g_b):
+        """Cross-entropy gradients of the units sigmoid(inputs[r] @ w[r] + b[r])
+        into g_w, g_b; leaves the residuals in dz."""
+        for x, w_r, z in zip(inputs, w, self.logit_rows):
+            np.matmul(x, w_r, out=z)
+        self.logits += b[:, None]
+        np.subtract(_sigmoid(self.logits), self.y, out=self.dz)
+        self.dz /= self.n
+        for r, (x, dz) in enumerate(zip(inputs, self.dz_rows)):
+            np.matmul(x.T, dz, out=g_w[r])
+            g_b[r] = np.add.reduce(dz)
 
 
 class TrainedModel:
@@ -99,19 +142,20 @@ class LogisticRegressionModel(TrainedModel):
             [canonical_float(self.bias)]
 
 
-def _train_logreg(X, y, hyper, seed):
-    lr, epochs, l2 = hyper["learning_rate"], hyper["epochs"], hyper["l2"]
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(int(epochs)):
-        p = _sigmoid(X @ w + b)
-        residual = (p - y) / n
-        grad_w = X.T @ residual + 2.0 * l2 * w
-        grad_b = residual.sum()
-        w -= lr * grad_w
-        b -= lr * grad_b
-    return LogisticRegressionModel(w, b, train_seed=seed, hyperparameters=hyper)
+def _train_logreg(Xs, ys, hyper, seeds):
+    lr, l2 = hyper["learning_rate"], hyper["l2"]
+    runs = _Runs(Xs, ys)
+    w = np.zeros((len(Xs), Xs[0].shape[1]))
+    b = np.zeros(len(Xs))
+    g_w = np.empty_like(w)
+    g_b = np.empty_like(b)
+    for _ in range(int(hyper["epochs"])):
+        runs.output_step(Xs, w, b, g_w, g_b)
+        g_w += 2.0 * l2 * w
+        w -= lr * g_w
+        b -= lr * g_b
+    return [LogisticRegressionModel(w[r], b[r], train_seed=seed, hyperparameters=hyper)
+            for r, seed in enumerate(seeds)]
 
 
 # --- CART decision tree -----------------------------------------------------
@@ -251,11 +295,11 @@ class DecisionTreeModel(TrainedModel):
         return tokens
 
 
-def _train_tree(X, y, hyper, seed):
-    root = _grow_tree(X, y.astype(np.float64), 0, int(hyper["max_depth"]),
-                      int(hyper["min_samples_split"]))
-    return DecisionTreeModel(root, input_dimension=X.shape[1], train_seed=seed,
-                             hyperparameters=hyper)
+def _train_tree(Xs, ys, hyper, seeds):
+    depth, min_split = int(hyper["max_depth"]), int(hyper["min_samples_split"])
+    return [DecisionTreeModel(_grow_tree(X, y.astype(np.float64), 0, depth, min_split),
+                              input_dimension=X.shape[1], train_seed=seed,
+                              hyperparameters=hyper) for X, y, seed in zip(Xs, ys, seeds)]
 
 
 # --- multi-layer perceptron -------------------------------------------------
@@ -272,7 +316,9 @@ class MLPModel(TrainedModel):
 
     def score(self, X):
         X = self._check_dim(X)
-        hidden = np.tanh(X @ self.w1 + self.b1)
+        hidden = X @ self.w1
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
         return _sigmoid(hidden @ self.w2 + self.b2)
 
     def _parameter_tokens(self):
@@ -282,69 +328,84 @@ class MLPModel(TrainedModel):
         return tokens
 
 
-def mlp_gradients(params: dict, X: np.ndarray, y: np.ndarray) -> dict:
-    """Analytic cross-entropy gradients for a 1-hidden-layer net.
+class _MLPRuns(_Runs):
+    """_Runs with the hidden-layer buffers of width-``width`` nets."""
 
-    ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2 (float); the gradients
-    are keyed like params.
-    """
-    w1, b1, w2, b2 = params["w1"], params["b1"], params["w2"], params["b2"]
-    hidden = np.tanh(X @ w1 + b1)
-    dz = (_sigmoid(hidden @ w2 + b2) - y) / X.shape[0]
-    d_hidden = np.outer(dz, w2) * (1.0 - hidden ** 2)
-    return {"w1": X.T @ d_hidden, "b1": d_hidden.sum(axis=0),
-            "w2": hidden.T @ dz, "b2": float(dz.sum())}
+    def __init__(self, Xs, ys, width):
+        super().__init__(Xs, ys)
+        self.hidden = self.stack(width)
+        self.d_hidden = self.stack(width)
+        self.slope = self.stack(width)  # 1 - hidden**2
+        self.hidden_rows = self.own(self.hidden)
+        self.d_hidden_rows = self.own(self.d_hidden)
+
+    def gradients(self, params, grads):
+        """Fills grads (g_w1, g_b1, g_w2, g_b2) at params (w1, b1, w2, b2),
+        each indexed by run first."""
+        w1, b1, w2, b2 = params
+        g_w1, g_b1, g_w2, g_b2 = grads
+        for x, w1_r, h in zip(self.Xs, w1, self.hidden_rows):
+            np.matmul(x, w1_r, out=h)
+        self.hidden += b1[:, None, :]
+        np.tanh(self.hidden, out=self.hidden)
+        self.output_step(self.hidden_rows, w2, b2, g_w2, g_b2)
+        np.multiply(self.dz[:, :, None], w2[:, None, :], out=self.d_hidden)
+        np.square(self.hidden, out=self.slope)
+        np.subtract(1.0, self.slope, out=self.slope)
+        self.d_hidden *= self.slope
+        for r, (x, d) in enumerate(zip(self.Xs, self.d_hidden_rows)):
+            np.matmul(x.T, d, out=g_w1[r])
+            np.add.reduce(d, axis=0, out=g_b1[r])
 
 
 def mlp_loss_and_gradients(params: dict, X: np.ndarray, y: np.ndarray):
-    """(loss, grads): the mean cross-entropy loss and ``mlp_gradients``.
+    """(loss, grads): the mean cross-entropy loss and the trainer's own step's
+    gradients (one run). ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2
+    (float); the gradients are keyed like params."""
+    keys = ("w1", "b1", "w2", "b2")
+    stacked = tuple(np.array([params[k]], dtype=np.float64) for k in keys)
+    grads = tuple(np.empty_like(p) for p in stacked)
+    runs = _MLPRuns([np.asarray(X, dtype=np.float64)], [y], stacked[1].shape[1])
+    runs.gradients(stacked, grads)
+    z = runs.logits[0]  # stable binary CE on logits: mean(softplus(z) - y*z)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return loss, {k: g[0] for k, g in zip(keys, grads)}
 
-    Exposed so the gradient check can compare against central finite
-    differences of the loss.
-    """
-    hidden = np.tanh(X @ params["w1"] + params["b1"])
-    logits = hidden @ params["w2"] + params["b2"]
-    # stable binary CE on logits: mean(softplus(z) - y*z)
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    return loss, mlp_gradients(params, X, y)
 
-
-def _train_mlp(X, y, hyper, seed):
-    width = int(hyper["hidden_width"])
-    lr = hyper["learning_rate"]
-    scale = hyper["init_scale"]
-    rng = np.random.default_rng(seed)
-    params = {
-        "w1": rng.uniform(-scale, scale, size=(X.shape[1], width)),
-        "b1": np.zeros(width),
-        "w2": rng.uniform(-scale, scale, size=width),
-        "b2": 0.0,
-    }
-    yf = y.astype(np.float64)
+def _train_mlp(Xs, ys, hyper, seeds):
+    """Run r draws its init from seeds[r]: w1, then w2."""
+    width, scale = int(hyper["hidden_width"]), hyper["init_scale"]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w1 = np.array([g.uniform(-scale, scale, size=(Xs[0].shape[1], width)) for g in rngs])
+    w2 = np.array([g.uniform(-scale, scale, size=width) for g in rngs])
+    params = (w1, np.zeros((len(seeds), width)), w2, np.zeros(len(seeds)))
+    grads = tuple(np.empty_like(p) for p in params)
+    runs = _MLPRuns(Xs, ys, width)
     for _ in range(int(hyper["epochs"])):
-        grads = mlp_gradients(params, X, yf)
-        params["w1"] = params["w1"] - lr * grads["w1"]
-        params["b1"] = params["b1"] - lr * grads["b1"]
-        params["w2"] = params["w2"] - lr * grads["w2"]
-        params["b2"] = params["b2"] - lr * grads["b2"]
-    return MLPModel(params["w1"], params["b1"], params["w2"], params["b2"],
-                    train_seed=seed, hyperparameters=hyper)
+        runs.gradients(params, grads)
+        for param, grad in zip(params, grads):
+            param -= hyper["learning_rate"] * grad
+    return [MLPModel(*(p[r] for p in params), train_seed=seed, hyperparameters=hyper)
+            for r, seed in enumerate(seeds)]
 
 
 _TRAINERS = {LOGREG: _train_logreg, TREE: _train_tree, MLP: _train_mlp}
 
 
+def _merged_hyper(kind: str, hyper: dict | None) -> dict:
+    if kind not in _TRAINERS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return {**DEFAULT_HYPERPARAMETERS[kind], **(hyper or {})}
+
+
 def train(kind: str, X: np.ndarray, y: np.ndarray, hyper: dict | None = None,
           seed: int = 0) -> TrainedModel:
     """Train one classifier; pure function of (data, hyper, seed)."""
-    if kind not in _TRAINERS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    merged = _merged_hyper(kind, hyper)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_training_inputs(X, y)
-    merged = dict(DEFAULT_HYPERPARAMETERS[kind])
-    merged.update(hyper or {})
-    return _TRAINERS[kind](X, y, merged, int(seed))
+    return _TRAINERS[kind]([X], [y], merged, [int(seed)])[0]
 
 
 # --- stacked ensemble -------------------------------------------------------
@@ -376,7 +437,8 @@ class StackedEnsemble(TrainedModel):
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
-    """Seeded per-class round-robin fold ids; every fold non-empty for folds <= n."""
+    """Seeded per-class round-robin fold ids, (0..n-1) mod folds over the shuffled
+    classes: for 2 <= folds <= n no fold is empty and fold training sets differ by <= 1 row."""
     rng = np.random.default_rng(seed)
     assignment = np.empty(y.size, dtype=np.int64)
     offset = 0
@@ -395,7 +457,9 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5,
     ``first_specs`` is a list of (kind, hyper); ``second_spec`` one
     (kind, hyper). First-level models train on all rows; the second level
     trains on out-of-fold first-level scores to avoid leakage. Fold
-    assignment is seeded and recorded on the ensemble.
+    assignment is seeded and recorded on the ensemble. One call trains a
+    member's fold fits; logreg and MLP fold fits share one gradient-descent
+    loop, each bit-identical to a separate fit.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -405,17 +469,19 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5,
     if len(first_specs) < 1:
         raise ValueError("need at least one first-level model")
 
+    merged = [_merged_hyper(kind, hyper) for kind, hyper in first_specs]
     assignment = _stratified_folds(y, folds, derive_seed(seed, "stack.folds"))
+    fold_X, fold_y = zip(*[(X[assignment != f], y[assignment != f]) for f in range(folds)])
+    for f in range(folds):  # the first member would train on it first
+        _check_training_inputs(fold_X[f], fold_y[f], f"fold {f} of {folds}, "
+                               f"first-level member 0 ({first_specs[0][0]}): ")
 
     oof = np.zeros((X.shape[0], len(first_specs)), dtype=np.float64)
-    for f in range(folds):
-        holdout = assignment == f
-        if not holdout.any():
-            continue
-        for i, (kind, hyper) in enumerate(first_specs):
-            fold_model = train(kind, X[~holdout], y[~holdout], hyper,
-                               derive_seed(seed, f"stack.oof.{f}", i))
-            oof[holdout, i] = fold_model.score(X[holdout])
+    for i, (kind, _) in enumerate(first_specs):  # one call trains all folds
+        seeds = [derive_seed(seed, f"stack.oof.{f}", i) for f in range(folds)]
+        models = _TRAINERS[kind](fold_X, fold_y, merged[i], seeds)
+        for f, model in enumerate(models):
+            oof[assignment == f, i] = model.score(X[assignment == f])
 
     first_level = [
         train(kind, X, y, hyper, derive_seed(seed, "stack.first", i))

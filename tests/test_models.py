@@ -10,12 +10,17 @@ from gridbench.errors import (
 )
 from gridbench.metrics import auc_score
 from gridbench.models import (
+    DEFAULT_HYPERPARAMETERS,
     LogisticRegressionModel,
+    TrainedModel,
+    _MLPRuns,
     _sigmoid,
+    _stratified_folds,
     mlp_loss_and_gradients,
     train,
     train_stack,
 )
+from gridbench.seeding import derive_seed
 
 
 class TestTrainValidation:
@@ -231,3 +236,176 @@ class TestStacking:
         with pytest.raises(FoldTooSmall):
             train_stack([("logreg", {})], ("logreg", {}), X_train, y_train,
                         folds=X_train.shape[0] + 1, seed=0)
+
+
+# --- per-fit reference trainers ---------------------------------------------
+# One gradient-descent loop per fit, kept as the reference the trainers must
+# reproduce bit for bit.
+
+def _reference_logreg(X, y, hyper):
+    lr, epochs, l2 = hyper["learning_rate"], hyper["epochs"], hyper["l2"]
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(int(epochs)):
+        p = _sigmoid(X @ w + b)
+        residual = (p - y) / n
+        grad_w = X.T @ residual + 2.0 * l2 * w
+        grad_b = residual.sum()
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return w, b
+
+
+def _reference_mlp(X, y, hyper, seed):
+    width, lr, scale = (int(hyper["hidden_width"]), hyper["learning_rate"],
+                        hyper["init_scale"])
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-scale, scale, size=(X.shape[1], width))
+    b1 = np.zeros(width)
+    w2 = rng.uniform(-scale, scale, size=width)
+    b2 = 0.0
+    yf = y.astype(np.float64)
+    for _ in range(int(hyper["epochs"])):
+        hidden = np.tanh(X @ w1 + b1)
+        dz = (_sigmoid(hidden @ w2 + b2) - yf) / X.shape[0]
+        d_hidden = np.outer(dz, w2) * (1.0 - hidden ** 2)
+        g_w1, g_b1 = X.T @ d_hidden, d_hidden.sum(axis=0)
+        g_w2, g_b2 = hidden.T @ dz, float(dz.sum())
+        w1 = w1 - lr * g_w1
+        b1 = b1 - lr * g_b1
+        w2 = w2 - lr * g_w2
+        b2 = b2 - lr * g_b2
+    return w1, b1, w2, b2
+
+
+FOLD_SHAPES = [(23, 4), (37, 3), (168, 5), (840, 2), (21, 4)]
+
+
+def _fold_data(n, seed=0, d=6):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
+    y[:2] = (0, 1)  # both classes in every shape
+    return X, y
+
+
+def _recording_constructors(monkeypatch):
+    """Every TrainedModel built while the patch holds, in build order."""
+    built = []
+    init = TrainedModel.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TrainedModel, "__init__", recording)
+    return built
+
+
+class TestTrainersMatchPerFitReference:
+    @pytest.mark.parametrize("n", [n for n, _ in FOLD_SHAPES])
+    def test_logreg_single_fit_is_bitwise_the_per_fit_loop(self, n):
+        X, y = _fold_data(n)
+        hyper = {**DEFAULT_HYPERPARAMETERS["logreg"], "epochs": 40}
+        model = train("logreg", X, y, hyper, seed=5)
+        w, b = _reference_logreg(X, y, hyper)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
+
+    @pytest.mark.parametrize("n", [n for n, _ in FOLD_SHAPES])
+    def test_mlp_single_fit_is_bitwise_the_per_fit_loop(self, n):
+        X, y = _fold_data(n)
+        hyper = {**DEFAULT_HYPERPARAMETERS["mlp"], "epochs": 40}
+        model = train("mlp", X, y, hyper, seed=5)
+        w1, b1, w2, b2 = _reference_mlp(X, y, hyper, 5)
+        assert model.w1.tobytes() == w1.tobytes()
+        assert model.b1.tobytes() == b1.tobytes()
+        assert model.w2.tobytes() == w2.tobytes()
+        assert model.b2 == b2
+
+    def test_mlp_score_is_bitwise_the_plain_expression(self):
+        X, y = _fold_data(300)
+        model = train("mlp", X, y, {"epochs": 20}, seed=2)
+        rng = np.random.default_rng(3)
+        for rows in (1, 7, 300, 2560):
+            Z = rng.normal(size=(rows, 6))
+            expected = _sigmoid(np.tanh(Z @ model.w1 + model.b1) @ model.w2
+                                + model.b2)
+            assert model.score(Z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind,hyper,d", [
+        ("logreg", {"epochs": 25}, 6), ("mlp", {"epochs": 25}, 6),
+        # a padded (m, 16) @ (16, 17) product differs in low bits from the
+        # unpadded one; this width would catch a padded first layer
+        ("mlp", {"epochs": 25, "hidden_width": 17}, 16),
+        ("tree", {"max_depth": 3}, 6)])
+    @pytest.mark.parametrize("n,folds", FOLD_SHAPES)
+    def test_stack_fold_models_are_separate_fits(self, kind, hyper, d, n, folds,
+                                                 monkeypatch):
+        X, y = _fold_data(n, seed=n, d=d)
+        built = _recording_constructors(monkeypatch)
+        ens = train_stack([(kind, hyper)], ("logreg", {"epochs": 5}), X, y,
+                          folds=folds, seed=11)
+        monkeypatch.undo()
+        by_seed = {m.train_seed: m for m in built if m.kind == kind}
+        for f in range(folds):
+            rows = ens.fold_assignment != f
+            fold_seed = derive_seed(11, f"stack.oof.{f}", 0)
+            separate = train(kind, X[rows], y[rows], hyper, fold_seed)
+            assert (by_seed[fold_seed].parameter_digest()
+                    == separate.parameter_digest()), f"fold {f}"
+
+
+def test_padded_runs_take_their_one_run_gradients():
+    rng = np.random.default_rng(4)
+    for d, width, rows in ((3, 4, (17, 23)), (16, 17, (40, 39)), (6, 16, (168, 135))):
+        Xs = [rng.normal(size=(k, d)) for k in rows]
+        ys = [(rng.random(k) < 0.4).astype(np.float64) for k in rows]
+        params = (rng.uniform(-0.5, 0.5, size=(2, d, width)),
+                  rng.uniform(-0.1, 0.1, size=(2, width)),
+                  rng.uniform(-0.5, 0.5, size=(2, width)), np.array([0.3, -0.2]))
+        grads = tuple(np.empty_like(p) for p in params)
+        _MLPRuns(Xs, ys, width).gradients(params, grads)
+        for r in range(2):
+            one = dict(zip(("w1", "b1", "w2", "b2"), (p[r] for p in params)))
+            _, expected = mlp_loss_and_gradients(one, Xs[r], ys[r])
+            for key, grad in zip(("w1", "b1", "w2", "b2"), grads):
+                expected_bytes = np.asarray(expected[key]).tobytes()
+                assert grad[r].tobytes() == expected_bytes, (d, width, rows, r, key)
+
+
+def test_fold_ids_are_balanced_and_never_empty():
+    """Ids run (0..n-1) mod folds, so no fold is empty for 2 <= folds <= n and
+    fold training sets (hence padded run lengths) differ by at most one row."""
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n = int(rng.integers(2, 400))
+        folds = int(rng.integers(2, min(n, 12) + 1))
+        y = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.int64)
+        sizes = np.bincount(_stratified_folds(y, folds, int(rng.integers(1 << 30))),
+                            minlength=folds)
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1, (n, folds)
+
+
+def test_single_class_fold_fails_before_training_and_is_named(monkeypatch):
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    y = np.zeros(20, dtype=np.int64)
+    y[7] = 1
+    built = _recording_constructors(monkeypatch)
+    with pytest.raises(SingleClassTrainingSet) as caught:
+        train_stack([("logreg", {}), ("mlp", {})], ("logreg", {}), X, y,
+                    folds=5, seed=0)
+    fold = _stratified_folds(y, 5, derive_seed(0, "stack.folds"))[7]
+    assert str(caught.value) == (f"fold {fold} of 5, first-level member 0 (logreg): "
+                                 "training labels contain a single class")
+    assert built == []  # no fold trained before the check
+
+
+def test_unknown_member_kind_fails_before_training(monkeypatch):
+    X, y = _fold_data(30)
+    built = _recording_constructors(monkeypatch)
+    with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+        train_stack([("logreg", {}), ("svm", {})], ("logreg", {}), X, y,
+                    folds=3, seed=0)
+    assert built == []

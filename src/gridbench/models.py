@@ -8,8 +8,6 @@ values in [0, 1]; labels threshold the score at 0.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .canonical import canonical_float, sha256_hex
@@ -36,7 +34,8 @@ DEFAULT_HYPERPARAMETERS = {
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def _check_training_inputs(X: np.ndarray, y: np.ndarray, where: str = ""):
@@ -160,19 +159,6 @@ def _train_logreg(Xs, ys, hyper, seeds):
 
 # --- CART decision tree -----------------------------------------------------
 
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    score: float = 0.0
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
 def _gini(pos: float, total: float) -> float:
     if total <= 0:
         return 0.0
@@ -180,13 +166,14 @@ def _gini(pos: float, total: float) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X, y, feature_order):
-    """Best (gain, feature, threshold); ties go to the lowest feature index,
-    then the lowest threshold (ascending scan, strictly-greater updates)."""
+def _best_split(X, y):
+    """Best (feature, split value), or feature -1 when no split gains; ties go
+    to the lowest feature index, then the lowest split value (ascending scan,
+    strictly-greater updates)."""
     n = y.size
     parent = _gini(y.sum(), n)
-    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-    for j in feature_order:
+    best_gain, best_feature, best_value = 0.0, -1, 0.0
+    for j in range(X.shape[1]):
         values = X[:, j]
         order = np.argsort(values, kind="stable")
         sv = values[order]
@@ -209,59 +196,55 @@ def _best_split(X, y, feature_order):
             best_gain = float(gains[k])
             best_feature = j
             i = boundaries[k]
-            best_threshold = float((sv[i] + sv[i + 1]) / 2.0)
-    return best_gain, best_feature, best_threshold
+            best_value = float((sv[i] + sv[i + 1]) / 2.0)
+    return best_feature, best_value
 
 
-def _grow_tree(X, y, depth, max_depth, min_samples_split):
-    node = _TreeNode(score=float(y.mean()))
-    if depth >= max_depth or y.size < min_samples_split or y.min() == y.max():
-        return node
-    gain, feature, threshold = _best_split(X, y, range(X.shape[1]))
-    if feature < 0:
-        return node
-    go_left = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow_tree(X[go_left], y[go_left], depth + 1, max_depth,
-                           min_samples_split)
-    node.right = _grow_tree(X[~go_left], y[~go_left], depth + 1, max_depth,
-                            min_samples_split)
-    return node
+def _grow_tree(X, y, max_depth, min_samples_split):
+    """The node arrays of ``DecisionTreeModel``, grown in preorder, and the
+    tree's depth."""
+    feature, split_value, left, right, value = [], [], [], [], []
 
-
-def _flatten_tree(root: _TreeNode):
-    """Preorder node arrays (feature, threshold, left, right, value); a leaf
-    routes to itself, so every row can take the same number of steps."""
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add(node):
+    def grow(X, y, depth):
         i = len(value)
-        feature.append(max(node.feature, 0))
-        threshold.append(node.threshold)
+        feature.append(0)
+        split_value.append(0.0)
         left.append(i)
         right.append(i)
-        value.append(node.score)
-        if not node.is_leaf:
-            left[i] = add(node.left)
-            right[i] = add(node.right)
-        return i
+        value.append(float(y.mean()))
+        if depth >= max_depth or y.size < min_samples_split or y.min() == y.max():
+            return depth
+        j, cut = _best_split(X, y)
+        if j < 0:
+            return depth
+        go_left = X[:, j] <= cut
+        feature[i], split_value[i], left[i] = j, cut, i + 1
+        depth_left = grow(X[go_left], y[go_left], depth + 1)
+        right[i] = len(value)
+        return max(depth_left, grow(X[~go_left], y[~go_left], depth + 1))
 
-    add(root)
-    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+    depth = grow(X, y, 0)
+    return (np.array(feature, dtype=np.intp), np.array(split_value, dtype=np.float64),
             np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-            np.array(value, dtype=np.float64))
+            np.array(value, dtype=np.float64), depth)
 
 
 class DecisionTreeModel(TrainedModel):
+    """CART tree as preorder node arrays: split feature and split value, left
+    and right child, and the node's training-label mean. Rows with
+    ``x[feature] <= split_value`` go left. A leaf routes to itself, so every
+    row can take the same number of steps."""
+
     kind = TREE
 
-    def __init__(self, root: _TreeNode, input_dimension: int, **kwargs):
-        super().__init__(input_dimension=input_dimension, **kwargs)
-        self.root = root
-        (self._feature, self._threshold, self._left, self._right,
-         self._value) = _flatten_tree(root)
-        self._depth = self.depth()
+    def __init__(self, feature, split_value, left, right, value, depth, **kwargs):
+        super().__init__(**kwargs)
+        self.feature = feature
+        self.split_value = split_value
+        self.left = left
+        self.right = right
+        self.value = value
+        self._depth = depth
 
     def score(self, X):
         """Descends all rows together, one tree level per step."""
@@ -270,34 +253,25 @@ class DecisionTreeModel(TrainedModel):
         row_start = np.arange(X.shape[0]) * X.shape[1]
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self._depth):
-            go_left = flat[row_start + self._feature[node]] <= self._threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
-        return self._value[node]
-
-    def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
+            go_left = flat[row_start + self.feature[node]] <= self.split_value[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
     def _parameter_tokens(self):
         tokens = ["tree"]
-
-        def walk(node):
-            if node.is_leaf:
-                tokens.append("leaf:" + canonical_float(node.score))
+        nodes = zip(self.feature.tolist(), self.split_value.tolist(),
+                    self.left.tolist(), self.value.tolist())
+        for i, (j, cut, child, v) in enumerate(nodes):
+            if child == i:
+                tokens.append("leaf:" + canonical_float(v))
             else:
-                tokens.append(f"split:{node.feature}:" + canonical_float(node.threshold))
-                walk(node.left)
-                walk(node.right)
-        walk(self.root)
+                tokens.append(f"split:{j}:" + canonical_float(cut))
         return tokens
 
 
 def _train_tree(Xs, ys, hyper, seeds):
     depth, min_split = int(hyper["max_depth"]), int(hyper["min_samples_split"])
-    return [DecisionTreeModel(_grow_tree(X, y.astype(np.float64), 0, depth, min_split),
+    return [DecisionTreeModel(*_grow_tree(X, y.astype(np.float64), depth, min_split),
                               input_dimension=X.shape[1], train_seed=seed,
                               hyperparameters=hyper) for X, y, seed in zip(Xs, ys, seeds)]
 

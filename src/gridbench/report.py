@@ -16,6 +16,8 @@ from .errors import EmptySamples
 from .store import COMPARED_METRICS
 
 SWARM_RADIUS = 4.0
+PLOT_WIDTH = 640
+PLOT_HEIGHT = 400
 
 
 def _fmt(value: float) -> str:
@@ -56,8 +58,6 @@ class EstimationPlotSpec:
     b_values: tuple[float, ...]
     comparison: dict  # stored ComparisonResult document (see stats module)
     jitter_seed: int = 0
-    width: int = 640
-    height: int = 400
 
     def __post_init__(self):
         if len(self.a_values) == 0 or len(self.b_values) == 0:
@@ -101,10 +101,9 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
     ci = spec.comparison["bootstrap_ci"]
     estimate = float(spec.comparison["point_estimate"])
 
-    width, height = spec.width, spec.height
-    top, bottom = 48.0, height - 56.0
-    left_a, left_b = width * 0.22, width * 0.46
-    diff_x = width * 0.80
+    top, bottom = 48.0, PLOT_HEIGHT - 56.0
+    left_a, left_b = PLOT_WIDTH * 0.22, PLOT_WIDTH * 0.46
+    diff_x = PLOT_WIDTH * 0.80
 
     lo_v = float(min(a.min(), b.min()))
     hi_v = float(max(a.max(), b.max()))
@@ -128,15 +127,15 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
 
     rng = np.random.default_rng(spec.jitter_seed)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" '
+        f'height="{PLOT_HEIGHT}" viewBox="0 0 {PLOT_WIDTH} {PLOT_HEIGHT}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{_px(width / 2)}" y="24" text-anchor="middle" font-size="16" '
+        f'<text x="{_px(PLOT_WIDTH / 2)}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="monospace">{_esc(spec.metric_name)}</text>',
     ]
 
     # shared value axis with 5 ticks
-    axis_x = width * 0.08
+    axis_x = PLOT_WIDTH * 0.08
     lines.append(f'<line x1="{_px(axis_x)}" y1="{_px(top)}" x2="{_px(axis_x)}" '
                  f'y2="{_px(bottom)}" stroke="#000000" stroke-width="1"/>')
     for i in range(5):

@@ -105,7 +105,13 @@ def _require_count(value, minimum: int, where: str):
 def validate_config(config: dict) -> dict:
     """Check and normalize a study config; raises InvalidConfig before any work."""
     _require(isinstance(config, dict), "config must be a JSON object")
-    _require(isinstance(config.get("master_seed"), int), "master_seed must be an integer")
+    # workers is accepted and ignored: datasets run one after another
+    _require_keys(config, ("master_seed", "datasets", "split", "preprocessing",
+                           "algorithm_a", "algorithm_b", "metrics", "output",
+                           "workers"), "top-level")
+    seed = config.get("master_seed")
+    _require(isinstance(seed, int) and not isinstance(seed, bool),
+             f"master_seed must be an integer, got {seed!r}")
 
     datasets = config.get("datasets")
     _require(isinstance(datasets, list) and len(datasets) >= 1,
@@ -127,6 +133,7 @@ def validate_config(config: dict) -> dict:
             norm_datasets.append({"type": "synthetic", **spec})
             names.append(spec["name"])
         else:
+            _require_keys(entry, ("type", "path", "name"), f"datasets[{i}]")
             _require(isinstance(entry.get("path"), str),
                      f"datasets[{i}].path must be a manifest path")
             norm_datasets.append(dict(entry))
@@ -420,6 +427,14 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
         with _noted(f"while evaluating datasets[{i}] "
                     f"({entry.get('name', entry.get('path', '?'))})"):
             results.append(_evaluate_dataset(i, entry, config, base_dir))
+    # a manifest names its dataset itself, so the loaded names are checked too
+    loaded = {}
+    for i, r in enumerate(results):
+        name = r["dataset"]["name"]
+        if name in loaded:
+            raise InvalidConfig(f"datasets[{loaded[name]}] and datasets[{i}] both "
+                                f"load as {name!r}; dataset names must be unique")
+        loaded[name] = i
 
     record = {
         "study_id": new_study_id(),

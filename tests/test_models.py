@@ -41,7 +41,10 @@ class TestDecisionTree:
         x = np.concatenate([rng.uniform(-2, -0.1, 10), rng.uniform(0.1, 2, 10)])
         y = np.array([0] * 10 + [1] * 10)
         model = train("tree", x[:, None], y)
-        assert model.depth() == 1
+        # preorder: the root, then its two leaves, which route to themselves
+        assert model.left.tolist() == [1, 1, 2]
+        assert model.right.tolist() == [2, 1, 2]
+        assert model._depth == 1
         assert np.array_equal(model.label(x[:, None]), y)
 
     def test_leaf_score_is_class_fraction(self):
@@ -56,9 +59,8 @@ class TestDecisionTree:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         model = train("tree", X, y, {"max_depth": 1})
-        assert model.root.feature == 0
-        assert model.root.threshold == pytest.approx(1.5)
-
+        assert model.feature[0] == 0
+        assert model.split_value[0] == pytest.approx(1.5)
 
     def test_level_descent_matches_node_walk(self):
         # noisy labels grow a deep, unbalanced tree (leaves at many depths)
@@ -67,26 +69,25 @@ class TestDecisionTree:
         y = (X_fit[:, 0] + X_fit[:, 1] * X_fit[:, 2] + rng.normal(size=300) > 0)
         model = train("tree", X_fit, y.astype(int), {"max_depth": 6})
 
-        def walk(row):
-            node = model.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.score
+        def walk(row):  # one row at a time, down to the leaf
+            node, steps = 0, 0
+            while model.left[node] != node:
+                goes_left = row[model.feature[node]] <= model.split_value[node]
+                node = model.left[node] if goes_left else model.right[node]
+                steps += 1
+            return model.value[node], steps
 
-        splits, stack = [], [model.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                splits.append((node.feature, node.threshold))
-                stack += [node.left, node.right]
-        assert model.depth() == 6 and len(splits) > 20
+        splits = [(model.feature[i], model.split_value[i])
+                  for i in range(model.value.size) if model.left[i] != i]
+        assert len(splits) > 20
         X = np.vstack([X_fit, rng.normal(size=(200, 4)) * 2.0])
         at_split = X[rng.integers(0, X.shape[0], len(splits))]
-        for row, (feature, threshold) in zip(at_split, splits):
-            row[feature] = threshold  # exactly on the boundary: goes left
+        for row, (feature, split_value) in zip(at_split, splits):
+            row[feature] = split_value  # exactly on the boundary: goes left
         X = np.vstack([X, at_split])
-        expected = np.array([walk(row) for row in X])
-        assert model.score(X).tobytes() == expected.tobytes()
+        expected, steps = zip(*(walk(row) for row in X))
+        assert max(steps) == model._depth == 6 and min(steps) < 6
+        assert model.score(X).tobytes() == np.array(expected).tobytes()
 
 
 def test_sigmoid_matches_masked_form_bitwise():

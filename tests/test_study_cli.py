@@ -74,6 +74,9 @@ CONFIG_MISTAKES = [
     (("algorithm_a",), "background_size", 0),
     (("algorithm_a",), "background_size", 1.5),
     (("algorithm_a",), "n_samples", 0),
+    ((), "metric", {"morf_k": 2}),
+    ((), "preprocesing", {"use_pca": True, "pca_components": 2}),
+    ((), "master_seed", True),
 ]
 
 
@@ -339,6 +342,40 @@ class TestCli:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_manifest_entry_typo_exits_1(self, tmp_path, capsys):
+        config = tiny_config()
+        config["datasets"][0] = {"type": "manifest", "path": "flows.json",
+                                 "nmae": "flows"}
+        self._assert_rejected_before_work(config, tmp_path, capsys, "nmae")
+
+    def test_datasets_loading_with_one_name_exit_1(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # both CSVs are data.csv and neither manifest names its dataset
+        for folder, period in (("one", 3), ("two", 4)):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "data.csv").write_text(
+                "f1,f2,label\n" + "\n".join(
+                    f"{i % 7}.{i % 3},{(i * 13) % 11},"
+                    f"{'attack' if i % period == 0 else 'normal'}"
+                    for i in range(90)))
+            (tmp_path / folder / "manifest.json").write_text(json.dumps({
+                "csv_path": "data.csv",
+                "label_column": "label",
+                "positive_label_values": ["attack"],
+                "columns": [{"name": "f1", "kind": "numeric"},
+                            {"name": "f2", "kind": "numeric"}],
+            }))
+        config = tiny_config()
+        config["datasets"] = [{"type": "manifest", "path": "one/manifest.json"},
+                              {"type": "manifest", "path": "two/manifest.json"}]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "datasets[0] and datasets[1]" in err and "'data'" in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
 
     def test_preprocessing_typo_exits_1(self, tmp_path, capsys):
         config = tiny_config()

@@ -114,6 +114,11 @@ class SchemaViolation(ValidationError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):
+        # rebuilt from the violations, not the joined message; the state
+        # carries any notes
+        return type(self), (self.violations,), self.__dict__
+
 
 class NotFound(GridBenchError):
     pass

@@ -3,9 +3,11 @@
 A study config is one JSON document (see ``validate_config``). Execution is
 all-or-nothing: every dataset/algorithm cell is computed in memory and the
 record is saved only when the whole study succeeded. Every random choice
-derives from the master seed via ``seeding.derive_seed``. Datasets are
-evaluated one after another on the calling thread, so recorded timings are
-not inflated by other threads competing for the CPU.
+derives from the master seed via ``seeding.derive_seed``. A study runs in
+three phases: every dataset is built, split and preprocessed in the calling
+process; every distinct (dataset, model spec) is trained in forked worker
+processes; then, once the workers have exited, every dataset is scored,
+explained and probed one after another on the calling thread.
 
 Model-training seeds are labeled with a digest of the model spec rather
 than the algorithm slot. Two slots configured with the same model share
@@ -21,11 +23,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .canonical import canonical_json, sha256_hex
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, split
+from .data import Dataset, SplitPair, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import InvalidConfig
 from .explain import build_explainer, sample_background
 from .metrics import (
@@ -34,7 +37,7 @@ from .metrics import (
     robustness_metrics_suite,
 )
 from .models import DEFAULT_HYPERPARAMETERS, train, train_stack
-from .preprocess import PipelineConfig, apply_pipeline, fit_pipeline
+from .preprocess import FittedPipeline, PipelineConfig, apply_pipeline, fit_pipeline
 from .report import EstimationPlotSpec, gardner_altman_svg, text_summary
 from .seeding import derive_seed
 from .stats import compare
@@ -76,6 +79,8 @@ METRICS_MINIMA = {
 
 EXPLAINER_DEFAULTS = {"mode": "auto", "n_samples": 2000, "background_size": 50}
 
+SLOTS = (("algorithm_a", "a"), ("algorithm_b", "b"))
+
 
 def _require(condition: bool, message: str):
     if not condition:
@@ -105,7 +110,7 @@ def _require_count(value, minimum: int, where: str):
 def validate_config(config: dict) -> dict:
     """Check and normalize a study config; raises InvalidConfig before any work."""
     _require(isinstance(config, dict), "config must be a JSON object")
-    # workers is accepted and ignored: datasets run one after another
+    # workers is accepted and ignored: the training phase sizes its own pool
     _require_keys(config, ("master_seed", "datasets", "split", "preprocessing",
                            "algorithm_a", "algorithm_b", "metrics", "output",
                            "workers"), "top-level")
@@ -266,16 +271,100 @@ def _noted(note: str):
         raise
 
 
-def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> dict:
+def _dataset_note(index: int, entry: dict) -> str:
+    return (f"while evaluating datasets[{index}] "
+            f"({entry.get('name', entry.get('path', '?'))})")
+
+
+def _slot_note(slot_key: str, config: dict) -> str:
+    return f"while evaluating {slot_key} ({config[slot_key]['name']})"
+
+
+class _Prepared(NamedTuple):
+    """A dataset split and preprocessed, ready for training and evaluation."""
+
+    ds: Dataset
+    pair: SplitPair
+    pipeline: FittedPipeline
+    X_train: np.ndarray
+    X_test: np.ndarray
+
+
+def _prepare_dataset(index: int, entry: dict, config: dict,
+                     base_dir: Path) -> _Prepared:
     master = config["master_seed"]
     ds = _build_dataset(entry, index, master, base_dir)
     pair = split(ds, config["split"]["train_fraction"],
                  derive_seed(master, "split", index))
-
     pipeline = fit_pipeline(pair.train, PipelineConfig(**config["preprocessing"]))
-    X_train = apply_pipeline(pipeline, pair.train)
-    X_test = apply_pipeline(pipeline, pair.test)
-    y_train, y_test = pair.train.labels, pair.test.labels
+    return _Prepared(ds, pair, pipeline, apply_pipeline(pipeline, pair.train),
+                     apply_pipeline(pipeline, pair.test))
+
+
+def _check_loaded_names(entries: list[dict], prepared: list[_Prepared]):
+    """A manifest names its dataset itself, so the loaded names are checked too."""
+    loaded = {}
+    for i, (entry, prep) in enumerate(zip(entries, prepared)):
+        name = prep.ds.name
+        _require(entry.get("name", name) == name,
+                 f"datasets[{i}] is named {entry.get('name')!r} in the config "
+                 f"but loads as {name!r}; drop its config name or make the "
+                 f"two agree")
+        _require(name not in loaded,
+                 f"datasets[{loaded.get(name)}] and datasets[{i}] both load "
+                 f"as {name!r}; dataset names must be unique")
+        loaded[name] = i
+
+
+def _timed_train(model_spec: dict, X, y, seed: int):
+    """Train one model spec in a worker; the time covers training alone."""
+    t0 = time.perf_counter()
+    model = _train_algorithm(model_spec, X, y, seed)
+    return model, time.perf_counter() - t0
+
+
+def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
+    """Train every distinct (dataset index, model digest) once, in parallel.
+
+    The workers are forked, so they inherit the calling process's modules
+    as they are (patched names included) and start without re-importing.
+    A fork copies only the calling thread, so a caller must not run other
+    threads that could hold a lock the workers need. Returns ``{(index, digest): (model, train_time)}``. A worker's error is
+    re-raised here with the notes of its dataset and of the first slot that
+    names the model; jobs not yet started are cancelled.
+    """
+    # Imported here: the pool modules add to every ``import gridbench``.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    master = config["master_seed"]
+    owners = {}  # model digest -> first slot naming it
+    for slot_key, _ in SLOTS:
+        owners.setdefault(_model_digest(config[slot_key]["model"]), slot_key)
+    jobs = [(i, digest, slot_key) for i in range(len(prepared))
+            for digest, slot_key in owners.items()]
+    pool = ProcessPoolExecutor(min(os.cpu_count() or 1, len(jobs)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_timed_train, config[slot_key]["model"],
+                               prepared[i].X_train, prepared[i].pair.train.labels,
+                               derive_seed(master, f"train:{digest}", i))
+                   for i, digest, slot_key in jobs]
+        fits = {}
+        for (i, digest, slot_key), future in zip(jobs, futures):
+            with _noted(_dataset_note(i, config["datasets"][i])), \
+                    _noted(_slot_note(slot_key, config)):
+                fits[i, digest] = future.result()
+        return fits
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
+                      fits: dict) -> dict:
+    master = config["master_seed"]
+    ds, pair, pipeline, X_train, X_test = prep
+    y_test = pair.test.labels
     players, numeric = pipeline.players()
 
     mcfg = config["metrics"]
@@ -310,17 +399,14 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
         "metrics": [],
     }
 
-    fits = {}  # model digest -> (model, train_time, predict_time, cls, robust)
-    for slot_key, slot in (("algorithm_a", "a"), ("algorithm_b", "b")):
+    evaluated = {}  # model digest -> (predict_time, cls, robust)
+    for slot_key, slot in SLOTS:
         algo = config[slot_key]
-        with _noted(f"while evaluating {slot_key} ({algo['name']})"):
+        with _noted(_slot_note(slot_key, config)):
             digest = _model_digest(algo["model"])
             train_seed = derive_seed(master, f"train:{digest}", index)
-            if digest not in fits:
-                t0 = time.perf_counter()
-                model = _train_algorithm(algo["model"], X_train, y_train, train_seed)
-                train_time = time.perf_counter() - t0
-
+            model, train_time = fits[index, digest]
+            if digest not in evaluated:
                 t0 = time.perf_counter()
                 test_scores = model.score(X_test)
                 predict_time = time.perf_counter() - t0
@@ -331,8 +417,8 @@ def _evaluate_dataset(index: int, entry: dict, config: dict, base_dir: Path) -> 
                     n_random_dirs=mcfg["n_random_dirs"],
                     max_pairs=mcfg["lipschitz_max_pairs"],
                     seed=derive_seed(master, f"robust:{digest}", index))
-                fits[digest] = (model, train_time, predict_time, cls, robust)
-            model, train_time, predict_time, cls, robust = fits[digest]
+                evaluated[digest] = (predict_time, cls, robust)
+            predict_time, cls, robust = evaluated[digest]
 
             background_seed = derive_seed(master, "background", index)
             background = sample_background(X_train, algo["background_size"],
@@ -410,31 +496,31 @@ def _comparison_block(config: dict, metric_entries: list[dict],
 def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     """Execute a validated study config end-to-end; returns the saved record.
 
-    Work per dataset: build, split, fit the pipeline on train, train each
-    distinct model spec once, compute all enabled metrics on test.
-    Cross-dataset statistics run afterwards; the record is saved atomically
-    and reports are rendered from the record alone. Relative manifest paths resolve
-    against ``base_dir`` (the config's home); relative output paths against
-    ``output_base`` (defaults to ``base_dir``).
+    Every dataset is built, split and preprocessed (the pipeline is fit on
+    train) and the loaded names are checked before any training. Each
+    distinct model spec is trained once per dataset in forked worker
+    processes; then every enabled metric is computed on test in the calling
+    process. Cross-dataset statistics run afterwards; the record is saved
+    atomically and reports are rendered from the record alone. Relative
+    manifest paths resolve against ``base_dir`` (the config's home);
+    relative output paths against ``output_base`` (defaults to ``base_dir``).
     """
     config = validate_config(config)
     base_dir = Path(base_dir)
     output_base = base_dir if output_base is None else Path(output_base)
 
     started = time.perf_counter()
+    entries = config["datasets"]
+    prepared = []
+    for i, entry in enumerate(entries):
+        with _noted(_dataset_note(i, entry)):
+            prepared.append(_prepare_dataset(i, entry, config, base_dir))
+    _check_loaded_names(entries, prepared)
+    fits = _train_models(config, prepared)
     results = []
-    for i, entry in enumerate(config["datasets"]):
-        with _noted(f"while evaluating datasets[{i}] "
-                    f"({entry.get('name', entry.get('path', '?'))})"):
-            results.append(_evaluate_dataset(i, entry, config, base_dir))
-    # a manifest names its dataset itself, so the loaded names are checked too
-    loaded = {}
-    for i, r in enumerate(results):
-        name = r["dataset"]["name"]
-        if name in loaded:
-            raise InvalidConfig(f"datasets[{loaded[name]}] and datasets[{i}] both "
-                                f"load as {name!r}; dataset names must be unique")
-        loaded[name] = i
+    for i, entry in enumerate(entries):
+        with _noted(_dataset_note(i, entry)):
+            results.append(_evaluate_dataset(i, prepared[i], config, fits))
 
     record = {
         "study_id": new_study_id(),

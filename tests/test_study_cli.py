@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import runpy
 import sys
 import threading
@@ -9,7 +12,7 @@ import pytest
 
 import gridbench.study
 from gridbench.cli import main
-from gridbench.errors import GridBenchError, InvalidConfig
+from gridbench.errors import GridBenchError, InvalidConfig, SingleClassTrainingSet
 from gridbench.store import DocumentStore, validate
 from gridbench.study import run_study, validate_config
 from record_fixture import minimal_record
@@ -47,6 +50,42 @@ def tiny_config(store_root="studies", report_dir="reports", master_seed=7):
                     "lipschitz_max_pairs": 150},
         "output": {"store_root": store_root, "report_dir": report_dir},
     }
+
+
+class InlineExecutor:
+    """Runs each submitted call at once in the calling process (test double)."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def write_manifest(folder, period=3):
+    """``folder/data.csv`` and a manifest that does not name the dataset."""
+    folder.mkdir()
+    (folder / "data.csv").write_text(
+        "f1,f2,label\n" + "\n".join(
+            f"{i % 7}.{i % 3},{(i * 13) % 11},"
+            f"{'attack' if i % period == 0 else 'normal'}"
+            for i in range(90)))
+    (folder / "manifest.json").write_text(json.dumps({
+        "csv_path": "data.csv",
+        "label_column": "label",
+        "positive_label_values": ["attack"],
+        "columns": [{"name": "f1", "kind": "numeric"},
+                    {"name": "f2", "kind": "numeric"}],
+    }))
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
 
 
 # One mistake per case: where it sits, the key the error must name, its value.
@@ -154,29 +193,45 @@ class TestRunStudy:
         other = run_study(tiny_config(master_seed=8), base_dir=tmp_path)
         assert other["reproducibility_digest"] != record["reproducibility_digest"]
 
-    def test_study_runs_on_the_calling_thread(self, study_dirs, tmp_path,
-                                              monkeypatch):
-        # a leftover "workers" key is accepted and ignored: no thread starts
-        _, record = study_dirs
+    def test_study_evaluates_in_the_calling_process_and_thread(self, tmp_path,
+                                                              monkeypatch):
+        # a leftover "workers" key is accepted and ignored
+        calls = []
+        for name in ("explanation_metrics_suite", "robustness_metrics_suite"):
+            def recorded(*args, _original=getattr(gridbench.study, name), **kwargs):
+                calls.append((os.getpid(), threading.get_ident()))
+                return _original(*args, **kwargs)
 
-        def no_threads(self):
-            raise AssertionError("run_study started a thread")
+            monkeypatch.setattr(gridbench.study, name, recorded)
 
-        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        def no_thread_pool(self, *args, **kwargs):
+            raise AssertionError("run_study built a thread pool")
+
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
+                            no_thread_pool)
         config = tiny_config()
         config["workers"] = 2
-        again = run_study(config, base_dir=tmp_path)
-        assert again["reproducibility_digest"] == record["reproducibility_digest"]
+        forked = run_study(config, base_dir=tmp_path / "forked")
+        # 2 datasets x 2 distinct model specs, each explained and probed
+        assert calls == [(os.getpid(), threading.get_ident())] * 8
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        serial = run_study(config, base_dir=tmp_path / "serial")
+        assert forked["reproducibility_digest"] == serial["reproducibility_digest"]
 
     @pytest.mark.parametrize("same_spec", [True, False])
     def test_one_fit_per_dataset_and_model_spec(self, same_spec, tmp_path,
                                                 monkeypatch):
-        calls = {"_train_algorithm": 0, "robustness_metrics_suite": 0}
-        for name in calls:
+        # shared memory: training runs in forked workers
+        calls = {name: multiprocessing.Value("i", 0)
+                 for name in ("_train_algorithm", "robustness_metrics_suite")}
+        for name, count in calls.items():
             original = getattr(gridbench.study, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _count=count, _original=original, **kwargs):
+                with _count.get_lock():
+                    _count.value += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(gridbench.study, name, counted)
@@ -187,7 +242,8 @@ class TestRunStudy:
 
         per_dataset = 1 if same_spec else 2
         n_datasets = len(config["datasets"])
-        assert calls == {name: per_dataset * n_datasets for name in calls}
+        assert {name: count.value for name, count in calls.items()} == \
+            {name: per_dataset * n_datasets for name in calls}
         if same_spec:
             for ds in config["datasets"]:
                 a, b = (next(m for m in record["metrics"]
@@ -352,20 +408,9 @@ class TestCli:
     def test_datasets_loading_with_one_name_exit_1(self, tmp_path, capsys,
                                                    monkeypatch):
         # both CSVs are data.csv and neither manifest names its dataset
-        for folder, period in (("one", 3), ("two", 4)):
-            (tmp_path / folder).mkdir()
-            (tmp_path / folder / "data.csv").write_text(
-                "f1,f2,label\n" + "\n".join(
-                    f"{i % 7}.{i % 3},{(i * 13) % 11},"
-                    f"{'attack' if i % period == 0 else 'normal'}"
-                    for i in range(90)))
-            (tmp_path / folder / "manifest.json").write_text(json.dumps({
-                "csv_path": "data.csv",
-                "label_column": "label",
-                "positive_label_values": ["attack"],
-                "columns": [{"name": "f1", "kind": "numeric"},
-                            {"name": "f2", "kind": "numeric"}],
-            }))
+        write_manifest(tmp_path / "one", period=3)
+        write_manifest(tmp_path / "two", period=4)
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
         config = tiny_config()
         config["datasets"] = [{"type": "manifest", "path": "one/manifest.json"},
                               {"type": "manifest", "path": "two/manifest.json"}]
@@ -376,6 +421,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "datasets[0] and datasets[1]" in err and "'data'" in err
         assert not any(tmp_path.glob("studies/records/*.json"))
+
+    def test_manifest_loading_under_another_name_exits_1(self, tmp_path, capsys,
+                                                         monkeypatch):
+        write_manifest(tmp_path / "one")
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        config = tiny_config()
+        config["datasets"][0] = {"type": "manifest", "path": "one/manifest.json",
+                                 "name": "substation_7"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        error = capsys.readouterr().err.splitlines()[0]
+        assert "datasets[0]" in error
+        assert "'substation_7'" in error and "'data'" in error
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_process_outlives_a_run(self, fails, tmp_path, capsys,
+                                       monkeypatch):
+        if fails:
+            def single_class(*args, **kwargs):
+                raise SingleClassTrainingSet("training labels hold one class")
+
+            monkeypatch.setattr(gridbench.study, "_train_algorithm", single_class)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == (2 if fails else 0)
+        assert multiprocessing.active_children() == []
+        if fails:
+            err = capsys.readouterr().err
+            assert "training labels hold one class" in err
+            assert "while evaluating algorithm_a (plain-logreg)" in err
+            assert "while evaluating datasets[0] (tiny_a)" in err
 
     def test_preprocessing_typo_exits_1(self, tmp_path, capsys):
         config = tiny_config()
@@ -399,9 +478,6 @@ class TestCli:
                                   for path, key, _ in CONFIG_MISTAKES])
     def test_config_mistake_exits_1_before_training(self, tmp_path, capsys,
                                                     monkeypatch, path, key, value):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a model was trained")
-
         monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
         config = tiny_config()
         section = config

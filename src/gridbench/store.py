@@ -8,6 +8,7 @@ closed: unknown fields are violations, which keeps silent drift impossible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import uuid
@@ -48,6 +49,17 @@ def _obj(properties: dict, required: list[str] | None = None) -> dict:
         "required": sorted(properties) if required is None else required,
         "additionalProperties": False,
     }
+
+
+# The JSON types as canonical JSON writes them: an integer has no fraction
+# part, so 2.0 is not one, and NaN or Infinity is no number at all (the
+# stock checker accepts both, and a bound compares false with NaN).
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: type(x) is int,
+        "number": lambda _, x: type(x) is int or isinstance(x, float) and math.isfinite(x),
+    }))
 
 
 _CLASSIFICATION = _obj({
@@ -111,6 +123,31 @@ _COMPARISON = _obj({
     "bootstrap_ci": _BOOTSTRAP,
 })
 
+# Record pieces that a study config shares: ``study.STUDY_CONFIG_SCHEMA``
+# makes their keys optional and adds ranges.
+PREPROCESSING_CONFIG_SCHEMA = _obj({
+    "use_onehot": _BOOL,
+    "use_minmax": _BOOL,
+    "use_pca": _BOOL,
+    "pca_components": {"type": ["integer", "null"]},
+})
+
+METRICS_CONFIG_SCHEMA = _obj({
+    "statistics": _BOOL,
+    "sens_radius": _NUMBER,
+    "morf_k": _INT,
+    "n_probes": _INT,
+    "explain_instances": _INT,
+    "robustness_instances": _INT,
+    "n_random_dirs": _INT,
+    "lipschitz_max_pairs": _INT,
+    "bootstrap_resamples": _INT,
+    "confidence_level": _NUMBER,
+})
+
+EXPLAINER_KIND_SCHEMA = {"enum": ["blackbox", "basic_join"]}
+EXPLAINER_MODE_SCHEMA = {"enum": ["auto", "exact", "sampled"]}
+
 STUDY_RECORD_SCHEMA = _obj({
     "study_id": _STR,
     "created_at": _STR,
@@ -132,12 +169,7 @@ STUDY_RECORD_SCHEMA = _obj({
         "test_content_hash": _STR,
     })},
     "preprocessing": _obj({
-        "config": _obj({
-            "use_onehot": _BOOL,
-            "use_minmax": _BOOL,
-            "use_pca": _BOOL,
-            "pca_components": {"type": ["integer", "null"]},
-        }),
+        "config": PREPROCESSING_CONFIG_SCHEMA,
         "fitted": {"type": "array", "items": _obj({
             "dataset": _STR,
             "parameter_digest": _STR,
@@ -156,24 +188,13 @@ STUDY_RECORD_SCHEMA = _obj({
     "explainers": {"type": "array", "items": _obj({
         "algorithm": _STR,
         "dataset": _STR,
-        "kind": {"enum": ["blackbox", "basic_join"]},
-        "mode": {"enum": ["auto", "exact", "sampled"]},
+        "kind": EXPLAINER_KIND_SCHEMA,
+        "mode": EXPLAINER_MODE_SCHEMA,
         "n_samples": _INT,
         "background_size": _INT,
         "background_seed": _INT,
     })},
-    "metrics_config": _obj({
-        "statistics": _BOOL,
-        "sens_radius": _NUMBER,
-        "morf_k": _INT,
-        "n_probes": _INT,
-        "explain_instances": _INT,
-        "robustness_instances": _INT,
-        "n_random_dirs": _INT,
-        "lipschitz_max_pairs": _INT,
-        "bootstrap_resamples": _INT,
-        "confidence_level": _NUMBER,
-    }),
+    "metrics_config": METRICS_CONFIG_SCHEMA,
     "metrics": {"type": "array", "items": _obj({
         "algorithm": _STR,
         "dataset": _STR,
@@ -278,17 +299,21 @@ def utc_timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-def validate(document: dict) -> list[str]:
-    """Validate against the study-record schema; returns JSON-pointer violations."""
-    validator = jsonschema.Draft202012Validator(STUDY_RECORD_SCHEMA)
+def _violations(schema: dict, document) -> list[str]:
+    """``<JSON pointer>: <message>`` for each way ``document`` breaks ``schema``."""
     violations = []
-    for error in sorted(validator.iter_errors(document),
+    for error in sorted(_Validator(schema).iter_errors(document),
                         key=lambda e: list(map(str, e.absolute_path))):
         pointer = "/" + "/".join(str(p) for p in error.absolute_path)
         if pointer == "/":
             pointer = ""
         violations.append(f"{pointer}: {error.message}")
     return violations
+
+
+def validate(document: dict) -> list[str]:
+    """Validate against the study-record schema; returns JSON-pointer violations."""
+    return _violations(STUDY_RECORD_SCHEMA, document)
 
 
 def reproducibility_digest(record: dict) -> str:

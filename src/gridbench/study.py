@@ -1,6 +1,6 @@
 """Study orchestration: config validation, execution, record assembly, reports.
 
-A study config is one JSON document (see ``validate_config``). Execution is
+A study config is one JSON document (see ``STUDY_CONFIG_SCHEMA``). Execution is
 all-or-nothing: every dataset/algorithm cell is computed in memory and the
 record is saved only when the whole study succeeded. Every random choice
 derives from the master seed via ``seeding.derive_seed``. A study runs in
@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,10 +42,19 @@ from .report import EstimationPlotSpec, gardner_altman_svg, text_summary
 from .seeding import derive_seed
 from .stats import compare
 from .store import (
+    _INT,
+    _NUMBER,
+    _STR,
     COMPARED_METRICS,
+    EXPLAINER_KIND_SCHEMA,
+    EXPLAINER_MODE_SCHEMA,
     LD_CONTEXT,
+    METRICS_CONFIG_SCHEMA,
+    PREPROCESSING_CONFIG_SCHEMA,
     SCHEMA_VERSION,
     DocumentStore,
+    _obj,
+    _violations,
     capture_environment,
     new_study_id,
     reproducibility_digest,
@@ -65,21 +74,82 @@ METRICS_DEFAULTS = {
     "confidence_level": 0.95,
 }
 
-# Smallest value each count or radius can take; confidence_level is in (0, 1).
-METRICS_MINIMA = {
-    "sens_radius": 0,
-    "morf_k": 1,
-    "n_probes": 0,
-    "explain_instances": 1,
-    "robustness_instances": 2,
-    "n_random_dirs": 0,
-    "lipschitz_max_pairs": 1,
-    "bootstrap_resamples": 1,
-}
-
-EXPLAINER_DEFAULTS = {"mode": "auto", "n_samples": 2000, "background_size": 50}
+EXPLAINER_DEFAULTS = {"explainer": "blackbox", "mode": "auto", "n_samples": 2000,
+                      "background_size": 50}
 
 SLOTS = (("algorithm_a", "a"), ("algorithm_b", "b"))
+
+# The JSON Schema of each annotation of a dataclass field or default's type.
+_TYPED = {"int": _INT, "float": _NUMBER, "str": _STR,
+          "int | None": {"type": ["integer", "null"]}}
+
+
+def _optional(schema: dict, **bounds) -> dict:
+    """``schema``'s closed object with every key optional and ``bounds`` added."""
+    return _obj({key: {**value, **bounds.get(key, {})}
+                 for key, value in schema["properties"].items()}, required=[])
+
+
+# One model spec: a known kind, and hyper keys typed like the kind's defaults,
+# a count or scale bounded by the smallest value that completes. The spec is
+# a closed object, so each kind's branch only narrows its hyper.
+_MEMBER = {
+    **_obj({"kind": {"enum": list(DEFAULT_HYPERPARAMETERS)},
+            "hyper": {"type": "object"}}, ["kind"]),
+    "allOf": [{
+        "if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+        "then": {"properties": {"hyper": _optional(
+            _obj({key: _TYPED[type(default).__name__] for key, default in hyper.items()}),
+            hidden_width={"minimum": 0}, init_scale={"minimum": 0})}},
+    } for kind, hyper in DEFAULT_HYPERPARAMETERS.items()],
+}
+
+_SLOT = _obj({
+    "name": _STR,
+    "model": {
+        "if": {"required": ["stack"]},
+        "then": _obj({"stack": _obj({
+            "first_level": {"type": "array", "minItems": 1, "items": _MEMBER},
+            "second_level": _MEMBER,
+            "folds": {**_INT, "minimum": 2},
+        }, ["first_level", "second_level"])}),
+        "else": _MEMBER,
+    },
+    "explainer": EXPLAINER_KIND_SCHEMA,
+    "mode": EXPLAINER_MODE_SCHEMA,
+    "n_samples": {**_INT, "minimum": 1},
+    "background_size": {**_INT, "minimum": 1},
+}, ["model"])
+
+# Every key, type and range of a study config; ``validate_config`` fills in
+# the defaults and checks the rules that span fields.
+STUDY_CONFIG_SCHEMA = _obj({
+    "master_seed": _INT,
+    "datasets": {"type": "array", "minItems": 1, "items": {
+        "if": {"properties": {"type": {"const": "synthetic"}}},
+        "then": _obj({"type": {"const": "synthetic"},
+                      **{f.name: _TYPED[f.type] for f in fields(SyntheticSpec)}},
+                     ["type"] + [f.name for f in fields(SyntheticSpec)
+                                 if f.default is MISSING]),
+        "else": _obj({"type": {"enum": ["synthetic", "manifest"]},
+                      "path": _STR, "name": _STR}, ["type", "path"]),
+    }},
+    "split": _obj({"train_fraction": {**_NUMBER, "exclusiveMinimum": 0,
+                                      "exclusiveMaximum": 1}}, []),
+    "preprocessing": _optional(PREPROCESSING_CONFIG_SCHEMA),
+    "algorithm_a": _SLOT,
+    "algorithm_b": _SLOT,
+    "metrics": _optional(
+        METRICS_CONFIG_SCHEMA,
+        sens_radius={"minimum": 0}, morf_k={"minimum": 1}, n_probes={"minimum": 0},
+        explain_instances={"minimum": 1}, robustness_instances={"minimum": 2},
+        n_random_dirs={"minimum": 0}, lipschitz_max_pairs={"minimum": 1},
+        bootstrap_resamples={"minimum": 1},
+        confidence_level={"exclusiveMinimum": 0, "exclusiveMaximum": 1}),
+    "output": _obj({"store_root": _STR, "report_dir": _STR}, []),
+    # accepted with any value and ignored: the training phase sizes its pool
+    "workers": {},
+}, ["master_seed", "datasets", "algorithm_a", "algorithm_b"])
 
 
 def _require(condition: bool, message: str):
@@ -87,152 +157,46 @@ def _require(condition: bool, message: str):
         raise InvalidConfig(message)
 
 
-def _require_keys(obj: dict, allowed, where: str):
-    for key in obj:
-        _require(key in allowed, f"unknown {where} key {key!r}")
-
-
-def _require_member(member, where: str):
-    """One model spec: a known ``kind`` and ``hyper`` keys of that kind."""
-    _require(isinstance(member, dict) and member.get("kind") in DEFAULT_HYPERPARAMETERS,
-             f"{where}.kind must be one of logreg/tree/mlp")
-    _require_keys(member, ("kind", "hyper"), where)
-    hyper = member.get("hyper", {})
-    _require(isinstance(hyper, dict), f"{where}.hyper must be an object")
-    _require_keys(hyper, DEFAULT_HYPERPARAMETERS[member["kind"]], f"{where}.hyper")
-
-
-def _require_count(value, minimum: int, where: str):
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-             f"{where} must be an integer >= {minimum}, got {value!r}")
-
-
 def validate_config(config: dict) -> dict:
-    """Check and normalize a study config; raises InvalidConfig before any work."""
-    _require(isinstance(config, dict), "config must be a JSON object")
-    # workers is accepted and ignored: the training phase sizes its own pool
-    _require_keys(config, ("master_seed", "datasets", "split", "preprocessing",
-                           "algorithm_a", "algorithm_b", "metrics", "output",
-                           "workers"), "top-level")
-    seed = config.get("master_seed")
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             f"master_seed must be an integer, got {seed!r}")
+    """Check and normalize a study config; raises InvalidConfig before any work.
 
-    datasets = config.get("datasets")
-    _require(isinstance(datasets, list) and len(datasets) >= 1,
-             "datasets must be a non-empty list")
-    names = []
-    norm_datasets = []
+    All of the config's ``STUDY_CONFIG_SCHEMA`` violations make one message.
+    """
+    violations = _violations(STUDY_CONFIG_SCHEMA, config)
+    _require(not violations, "; ".join(violations))
+
+    datasets = [dict(entry) for entry in config["datasets"]]
     for i, entry in enumerate(datasets):
-        _require(isinstance(entry, dict), f"datasets[{i}] must be an object")
-        kind = entry.get("type")
-        _require(kind in ("synthetic", "manifest"),
-                 f"datasets[{i}].type must be 'synthetic' or 'manifest'")
-        if kind == "synthetic":
-            spec = {k: v for k, v in entry.items() if k != "type"}
-            spec.setdefault("name", f"synthetic_{i}")
-            try:
-                SyntheticSpec(**spec).validate()
-            except TypeError as exc:
-                raise InvalidConfig(f"datasets[{i}]: {exc}") from exc
-            norm_datasets.append({"type": "synthetic", **spec})
-            names.append(spec["name"])
-        else:
-            _require_keys(entry, ("type", "path", "name"), f"datasets[{i}]")
-            _require(isinstance(entry.get("path"), str),
-                     f"datasets[{i}].path must be a manifest path")
-            norm_datasets.append(dict(entry))
-            names.append(entry.get("name", entry["path"]))
+        if entry["type"] == "synthetic":
+            entry.setdefault("name", f"synthetic_{i}")
+            SyntheticSpec(**{k: v for k, v in entry.items() if k != "type"}).validate()
+    names = [entry.get("name", entry.get("path")) for entry in datasets]
     _require(len(set(names)) == len(names), "dataset names must be unique")
 
-    split_cfg = dict(config.get("split", {}))
-    _require_keys(split_cfg, ("train_fraction",), "split")
-    fraction = split_cfg.setdefault("train_fraction", 0.7)
-    _require(isinstance(fraction, (int, float)) and 0 < fraction < 1,
-             "split.train_fraction must be in (0, 1)")
+    prep = PipelineConfig(**config.get("preprocessing", {}))
+    _require(not prep.use_pca or (prep.pca_components or 0) >= 1,
+             "preprocessing.pca_components must be >= 1 when use_pca is set")
 
-    try:
-        prep = PipelineConfig(**config.get("preprocessing", {}))
-    except TypeError as exc:
-        raise InvalidConfig(f"preprocessing: {exc}") from exc
-    if prep.use_pca:
-        _require(isinstance(prep.pca_components, int) and prep.pca_components >= 1,
-                 "preprocessing.pca_components must be >= 1 when use_pca is set")
-
-    algorithms = {}
-    for slot in ("algorithm_a", "algorithm_b"):
-        algo = config.get(slot)
-        _require(isinstance(algo, dict), f"{slot} must be an object")
-        _require_keys(algo, ("name", "model", "explainer", *EXPLAINER_DEFAULTS), slot)
-        algo = dict(algo)
-        algo.setdefault("name", slot)
-        model = algo.get("model")
-        _require(isinstance(model, dict), f"{slot}.model must be an object")
-        is_stack = "stack" in model
-        if is_stack:
-            _require_keys(model, ("stack",), f"{slot}.model")
-            stack = model["stack"]
-            _require(isinstance(stack, dict), f"{slot}.model.stack must be an object")
-            _require_keys(stack, ("first_level", "second_level", "folds"),
-                          f"{slot}.model.stack")
-            _require(isinstance(stack.get("first_level"), list) and stack["first_level"],
-                     f"{slot}.model.stack.first_level must be a non-empty list")
-            for i, m in enumerate(stack["first_level"]):
-                _require_member(m, f"{slot}.model.stack.first_level[{i}]")
-            _require_member(stack.get("second_level"), f"{slot}.model.stack.second_level")
-            _require_count(stack.get("folds", 5), 2, f"{slot}.model.stack.folds")
-        else:
-            _require_member(model, f"{slot}.model")
-        explainer = algo.setdefault("explainer", "blackbox")
-        _require(explainer in ("blackbox", "basic_join"),
-                 f"{slot}.explainer must be 'blackbox' or 'basic_join'")
-        _require(not (explainer == "basic_join" and not is_stack),
+    algorithms = {slot: {"name": slot, **EXPLAINER_DEFAULTS, **config[slot]}
+                  for slot, _ in SLOTS}
+    for slot, algo in algorithms.items():
+        _require(algo["explainer"] != "basic_join" or "stack" in algo["model"],
                  f"{slot}: basic_join needs a stacked model")
-        for key, default in EXPLAINER_DEFAULTS.items():
-            algo.setdefault(key, default)
-        _require(algo["mode"] in ("auto", "exact", "sampled"),
-                 f"{slot}.mode must be 'auto', 'exact' or 'sampled'")
-        _require_count(algo["n_samples"], 1, f"{slot}.n_samples")
-        _require_count(algo["background_size"], 1, f"{slot}.background_size")
-        algorithms[slot] = algo
 
-    metrics = dict(METRICS_DEFAULTS)
-    user_metrics = config.get("metrics", {})
-    _require(isinstance(user_metrics, dict), "metrics must be an object")
-    for key, value in user_metrics.items():
-        _require(key in METRICS_DEFAULTS, f"unknown metrics key {key!r}")
-        default = METRICS_DEFAULTS[key]
-        types = (int, float) if isinstance(default, float) else type(default)
-        _require(isinstance(value, types)
-                 and isinstance(value, bool) == isinstance(default, bool),
-                 f"metrics.{key} must be of the type of its default "
-                 f"{default!r}, got {value!r}")
-    metrics.update(user_metrics)
-    for key, minimum in METRICS_MINIMA.items():
-        _require(metrics[key] >= minimum,
-                 f"metrics.{key} must be >= {minimum}, got {metrics[key]!r}")
-    _require(0 < metrics["confidence_level"] < 1,
-             f"metrics.confidence_level must be in (0, 1), "
-             f"got {metrics['confidence_level']!r}")
-    if metrics["statistics"]:
-        _require(len(norm_datasets) >= 2,
-                 "statistics need >= 2 datasets (set metrics.statistics=false "
-                 "for single-dataset runs)")
-
-    output = dict(config.get("output", {}))
-    _require_keys(output, ("store_root", "report_dir"), "output")
-    output.setdefault("store_root", "studies")
-    output.setdefault("report_dir", "reports")
+    metrics = {**METRICS_DEFAULTS, **config.get("metrics", {})}
+    _require(not metrics["statistics"] or len(datasets) >= 2,
+             "statistics need >= 2 datasets (set metrics.statistics=false "
+             "for single-dataset runs)")
 
     return {
         "master_seed": config["master_seed"],
-        "datasets": norm_datasets,
-        "split": split_cfg,
+        "datasets": datasets,
+        "split": {"train_fraction": 0.7, **config.get("split", {})},
         "preprocessing": asdict(prep),
-        "algorithm_a": algorithms["algorithm_a"],
-        "algorithm_b": algorithms["algorithm_b"],
+        **algorithms,
         "metrics": metrics,
-        "output": output,
+        "output": {"store_root": "studies", "report_dir": "reports",
+                   **config.get("output", {})},
     }
 
 
@@ -329,7 +293,8 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
     The workers are forked, so they inherit the calling process's modules
     as they are (patched names included) and start without re-importing.
     A fork copies only the calling thread, so a caller must not run other
-    threads that could hold a lock the workers need. Returns ``{(index, digest): (model, train_time)}``. A worker's error is
+    threads that could hold a lock the workers need. Returns
+    ``{(index, digest): (model, train_time)}``. A worker's error is
     re-raised here with the notes of its dataset and of the first slot that
     names the model; jobs not yet started are cancelled.
     """

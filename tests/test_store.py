@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gridbench.canonical import canonical_json
+from gridbench.canonical import canonical_json, sha256_hex
 from gridbench.errors import GridBenchError, NotFound, SchemaViolation
 from gridbench.metrics import (
     ClassificationMetrics,
@@ -19,6 +19,7 @@ from gridbench.metrics import (
 from gridbench.preprocess import PipelineConfig
 from gridbench.stats import BootstrapInterval, ComparisonResult, WilcoxonResult
 from gridbench.store import (
+    SCHEMA_VERSION,
     STUDY_RECORD_SCHEMA,
     DocumentStore,
     EnvironmentInfo,
@@ -26,6 +27,7 @@ from gridbench.store import (
     reproducibility_digest,
     validate,
 )
+from gridbench.study import STUDY_CONFIG_SCHEMA
 from record_fixture import minimal_record
 
 
@@ -60,6 +62,21 @@ class TestValidate:
         violations = validate(record)
         assert len(violations) == 1
         assert "surprise" in violations[0]
+
+    @pytest.mark.parametrize("path, value", [
+        (("master_seed",), 7.0),
+        (("metrics", 0, "classification", "auc"), float("nan")),
+        (("metrics", 0, "timings", "train_time"), float("inf")),
+    ], ids=["integral_float", "nan", "infinity"])
+    def test_integers_are_integral_and_numbers_finite(self, path, value):
+        record = minimal_record()
+        section = record
+        for step in path[:-1]:
+            section = section[step]
+        section[path[-1]] = value
+        violations = validate(record)
+        assert len(violations) == 1
+        assert violations[0].startswith("/" + "/".join(map(str, path)) + ":")
 
     def test_save_refuses_invalid_record(self, tmp_path):
         store = DocumentStore(tmp_path / "store")
@@ -236,3 +253,16 @@ class TestSectionsMatchSchema:
                                          max_pairs=100, seed=0)
         assert suite.delta_adv
         jsonschema.validate(asdict(suite), _CELL["robustness"])
+
+
+class TestSchemas:
+    def test_record_schema_is_pinned_to_its_version(self):
+        # A store writes schema/<version>.json once and never rewrites it, so
+        # any edit to the record schema must come with a new SCHEMA_VERSION.
+        assert (SCHEMA_VERSION, sha256_hex(canonical_json(STUDY_RECORD_SCHEMA))) == (
+            "1", "9aebd1bb543165a0c127e514a47648696bffe8625b70f05a45a3ab45f1ac5df5")
+
+    @pytest.mark.parametrize("schema", [STUDY_RECORD_SCHEMA, STUDY_CONFIG_SCHEMA],
+                             ids=["record", "config"])
+    def test_schema_is_a_valid_draft_2020_12_schema(self, schema):
+        jsonschema.Draft202012Validator.check_schema(schema)

@@ -88,7 +88,8 @@ def no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
 
 
-# One mistake per case: where it sits, the key the error must name, its value.
+# One mistake per case, applied to ``mistake_base()``: where it sits, the key
+# the error must name, its value.
 CONFIG_MISTAKES = [
     (("algorithm_b",), "explaner", "basic_join"),
     (("algorithm_a",), "backgroud_size", 8),
@@ -116,7 +117,28 @@ CONFIG_MISTAKES = [
     ((), "metric", {"morf_k": 2}),
     ((), "preprocesing", {"use_pca": True, "pca_components": 2}),
     ((), "master_seed", True),
+    (("algorithm_a", "model", "hyper"), "epochs", "120"),
+    (("algorithm_b", "model", "stack", "first_level", 1, "hyper"), "max_depth", "x"),
+    (("algorithm_a", "model", "hyper"), "learning_rate", float("nan")),
+    (("datasets", 0), "d_numeric", 2.5),
+    (("preprocessing",), "use_onehot", "no"),
+    (("output",), "store_root", 5),
+    ((), "split", [0.7]),
+    (("algorithm_b", "model", "stack", "first_level", 2, "hyper"), "hidden_width", -2),
+    (("algorithm_b", "model", "stack", "first_level", 2, "hyper"), "init_scale", -1.0),
+    (("algorithm_b", "model", "stack"), "folds", 3.0),
+    ((), "metrics", {"morf_k": 2.0}),
 ]
+
+
+def mistake_base():
+    """``tiny_config`` with a tree ``hyper`` and an MLP member, so that a
+    mistake can sit in the hyperparameters of every model kind."""
+    config = tiny_config()
+    first_level = config["algorithm_b"]["model"]["stack"]["first_level"]
+    first_level[1]["hyper"] = {"max_depth": 5}
+    first_level.append({"kind": "mlp", "hyper": {"epochs": 120}})
+    return config
 
 
 class TestValidateConfig:
@@ -479,7 +501,8 @@ class TestCli:
     def test_config_mistake_exits_1_before_training(self, tmp_path, capsys,
                                                     monkeypatch, path, key, value):
         monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
-        config = tiny_config()
+        config = mistake_base()
+        validate_config(config)
         section = config
         for step in path:
             section = section[step]

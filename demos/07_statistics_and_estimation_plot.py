@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from gridbench import compare
-from gridbench.report import EstimationPlotSpec, gardner_altman_svg
+from gridbench.report import gardner_altman_svg
 
 # Explanation-sensitivity values for two algorithms over eight datasets.
 rng = np.random.default_rng(5)
@@ -32,22 +32,15 @@ ci = result.bootstrap_ci
 print(f"95% bootstrap CI: [{ci.low:+.4f}, {ci.high:+.4f}] ({ci.method})")
 
 # The estimation plot shows both swarms on a shared value axis and the mean
-# difference with its CI on a separate difference axis. Rendering is
-# byte-deterministic in the spec (including the jitter seed).
+# difference with its CI on a separate difference axis. It is drawn from the
+# comparison document a study record stores (the result plus both value
+# lists); algorithm_a is the blackbox ensemble and algorithm_b the basic join.
+# Rendering is byte-deterministic in the document and the jitter seed.
 comparison = result.to_dict()
 comparison["a_values"] = sens_a.tolist()
 comparison["b_values"] = sens_b.tolist()
-spec = EstimationPlotSpec(
-    metric_name="explanation_sensitivity",
-    group_a_name="ensemble (blackbox)",
-    group_b_name="ensemble (basic join)",
-    a_values=tuple(sens_a),
-    b_values=tuple(sens_b),
-    comparison=comparison,
-    jitter_seed=13,
-)
 out = Path("reports")
 out.mkdir(exist_ok=True)
 path = out / "demo_estimation_plot.svg"
-path.write_text(gardner_altman_svg(spec), encoding="utf-8")
+path.write_text(gardner_altman_svg(comparison, jitter_seed=13), encoding="utf-8")
 print(f"\nwrote {path}")

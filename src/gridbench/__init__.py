@@ -61,5 +61,6 @@ from .stats import (  # noqa: F401
     effect_label,
     wilcoxon_signed_rank,
 )
+from .report import write_reports  # noqa: F401
 from .store import DocumentStore, capture_environment, validate  # noqa: F401
-from .study import run_study, validate_config, write_reports  # noqa: F401
+from .study import run_study, validate_config  # noqa: F401

@@ -18,9 +18,9 @@ import sys
 from pathlib import Path
 
 from .errors import GridBenchError, ValidationError
-from .report import _fmt, wilcoxon_text
+from .report import comparison_text, write_reports
 from .store import DocumentStore, validate
-from .study import run_study, write_reports
+from .study import run_study
 
 
 def _open_store(explicit: str | None) -> DocumentStore:
@@ -55,22 +55,7 @@ def _cmd_compare(args) -> int:
     record = store.load(args.study_id)
     for comp in record.get("comparison", []):
         if comp["metric_name"] == args.metric:
-            print(f"metric: {comp['metric_name']}")
-            for name, values in (("a", comp["a_values"]), ("b", comp["b_values"])):
-                print(f"  algorithm_{name}: "
-                      + ", ".join(_fmt(v) for v in values))
-            print(f"  mean difference: {_fmt(comp['point_estimate'])}")
-            if comp.get("wilcoxon_incomputable"):
-                print(f"  wilcoxon: incomputable ({comp['wilcoxon_incomputable']})")
-            else:
-                print(f"  wilcoxon: {wilcoxon_text(comp['wilcoxon'])}")
-            if comp.get("cohens_d_incomputable"):
-                print(f"  cohens_d: incomputable ({comp['cohens_d_incomputable']})")
-            else:
-                print(f"  cohens_d: {_fmt(comp['cohens_d'])} ({comp['effect_label']})")
-            ci = comp["bootstrap_ci"]
-            print(f"  bootstrap_ci: [{_fmt(ci['low'])}, {_fmt(ci['high'])}] "
-                  f"level={_fmt(ci['level'])} ({ci['method']})")
+            print(comparison_text(comp))
             return 0
     raise GridBenchError(
         f"metric {args.metric!r} not in the comparison block of {args.study_id}")

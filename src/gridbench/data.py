@@ -25,6 +25,7 @@ from .errors import (
     NonBinaryLabel,
     UnknownLabelColumn,
 )
+from .store import _STR, PURDUE_LEVEL_SCHEMA, _obj, _violations
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -216,7 +217,23 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     )
 
 
+_LABEL_VALUES = {"type": "array", "minItems": 1, "items": {"type": ["string", "number"]}}
+
+# Every key and type of a dataset manifest (see ``load_csv``).
+MANIFEST_SCHEMA = _obj({
+    "csv_path": _STR,
+    "label_column": _STR,
+    "positive_label_values": _LABEL_VALUES,
+    "negative_label_values": {**_LABEL_VALUES, "type": ["array", "null"]},
+    "columns": {"type": "array", "minItems": 1, "items": _obj({
+        "name": _STR, "kind": {"enum": [NUMERIC, CATEGORICAL]}})},
+    "purdue_level": PURDUE_LEVEL_SCHEMA,
+    "name": _STR,
+}, ["csv_path", "label_column", "positive_label_values", "columns"])
+
+
 def _read_manifest(manifest_path) -> dict:
+    """The manifest at ``manifest_path``, checked against ``MANIFEST_SCHEMA``."""
     path = Path(manifest_path)
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
@@ -224,23 +241,16 @@ def _read_manifest(manifest_path) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise MalformedManifest(f"manifest {path} is not valid JSON: {exc}") from exc
-    for key in ("csv_path", "label_column", "positive_label_values", "columns"):
-        if key not in manifest:
-            raise MalformedManifest(f"manifest {path} missing required field {key!r}")
-    for col in manifest["columns"]:
-        if not isinstance(col, dict) or "name" not in col or "kind" not in col:
-            raise MalformedManifest("every manifest column needs 'name' and 'kind'")
-        if col["kind"] not in (NUMERIC, CATEGORICAL):
-            raise MalformedManifest(f"unknown column kind {col['kind']!r}")
+    violations = _violations(MANIFEST_SCHEMA, manifest)
+    if violations:
+        raise MalformedManifest(f"manifest {path}: " + "; ".join(violations))
     return manifest
 
 
 def load_csv(manifest_path) -> Dataset:
-    """Load a dataset described by a JSON manifest.
+    """Load a dataset described by a JSON manifest (``MANIFEST_SCHEMA``).
 
-    Manifest fields: csv_path (relative paths resolve against the manifest),
-    label_column, positive_label_values, optional negative_label_values,
-    columns [{name, kind}], optional purdue_level and name. The CSV needs a
+    A relative csv_path resolves against the manifest. The CSV needs a
     header row. Rows with any missing cell are dropped; the drop count lands
     in ``metadata``.
     """

@@ -1,18 +1,20 @@
 """Deterministic study reports: Gardner-Altman estimation plots and text summaries.
 
-The SVG is hand-rolled (no plotting dependency) and a pure function of its
-spec: fixed-format coordinates, seeded tie jitter, stable element order.
-Rendering twice from the same spec yields identical bytes, which is what
-lets ``gridbench report`` regenerate plots from a stored record verbatim.
+Every report is drawn from a stored record alone. The SVG is hand-rolled (no
+plotting dependency) and a pure function of its comparison document and
+jitter seed: fixed-format coordinates, seeded tie jitter, stable element
+order. Rendering twice yields identical bytes, which is what lets
+``gridbench report`` regenerate a record's reports verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptySamples
+from .seeding import derive_seed
 from .store import COMPARED_METRICS
 
 SWARM_RADIUS = 4.0
@@ -25,19 +27,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def wilcoxon_text(wilcoxon: dict) -> str:
-    """One line for a stored Wilcoxon result.
-
-    Exact tests also show the smallest p-value their n_effective allows,
-    2^(1 - n): with few datasets no difference can reach significance.
-    """
-    n = wilcoxon["n_effective"]
-    text = f"W={_fmt(wilcoxon['statistic'])} p={_fmt(wilcoxon['p_value'])}"
-    if wilcoxon["method"] == "exact":
-        text += f" min_p={_fmt(min(1.0, 2.0 ** (1 - n)))}"
-    return text + f" n_eff={n} [{wilcoxon['method']}]"
-
-
 def _px(value: float) -> str:
     return format(float(value), ".2f")
 
@@ -45,25 +34,6 @@ def _px(value: float) -> str:
 def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;"))
-
-
-@dataclass(frozen=True)
-class EstimationPlotSpec:
-    """Inputs for one Gardner-Altman plot of paired per-dataset metric values."""
-
-    metric_name: str
-    group_a_name: str
-    group_b_name: str
-    a_values: tuple[float, ...]
-    b_values: tuple[float, ...]
-    comparison: dict  # stored ComparisonResult document (see stats module)
-    jitter_seed: int = 0
-
-    def __post_init__(self):
-        if len(self.a_values) == 0 or len(self.b_values) == 0:
-            raise EmptySamples("estimation plot needs at least one value per group")
-        if len(self.a_values) != len(self.b_values):
-            raise EmptySamples("groups must be paired (equal length)")
 
 
 def _swarm_positions(values, x_center, y_of, rng):
@@ -94,12 +64,15 @@ def _swarm_positions(values, x_center, y_of, rng):
     return out
 
 
-def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
-    """Render both groups as swarms plus a difference axis with the bootstrap CI."""
-    a = np.asarray(spec.a_values, dtype=np.float64)
-    b = np.asarray(spec.b_values, dtype=np.float64)
-    ci = spec.comparison["bootstrap_ci"]
-    estimate = float(spec.comparison["point_estimate"])
+def gardner_altman_svg(comparison: dict, jitter_seed: int) -> str:
+    """Render a stored comparison document (see the stats module) as both
+    slots' swarms plus a difference axis with the bootstrap CI."""
+    a = np.asarray(comparison["a_values"], dtype=np.float64)
+    b = np.asarray(comparison["b_values"], dtype=np.float64)
+    if a.size == 0 or a.size != b.size:
+        raise EmptySamples("estimation plot needs paired groups of at least one value")
+    ci = comparison["bootstrap_ci"]
+    estimate = float(comparison["point_estimate"])
 
     top, bottom = 48.0, PLOT_HEIGHT - 56.0
     left_a, left_b = PLOT_WIDTH * 0.22, PLOT_WIDTH * 0.46
@@ -125,13 +98,13 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
     def y_diff(value):
         return bottom - (value - d_lo) / (d_hi - d_lo) * (bottom - top)
 
-    rng = np.random.default_rng(spec.jitter_seed)
+    rng = np.random.default_rng(jitter_seed)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" '
         f'height="{PLOT_HEIGHT}" viewBox="0 0 {PLOT_WIDTH} {PLOT_HEIGHT}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{_px(PLOT_WIDTH / 2)}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="monospace">{_esc(spec.metric_name)}</text>',
+        f'font-family="monospace">{_esc(comparison["metric_name"])}</text>',
     ]
 
     # shared value axis with 5 ticks
@@ -147,8 +120,8 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
                      f'font-size="10" font-family="monospace">{_fmt(tick)}</text>')
 
     for values, x_center, name, color in (
-            (a, left_a, spec.group_a_name, "#1f77b4"),
-            (b, left_b, spec.group_b_name, "#d62728")):
+            (a, left_a, "algorithm_a", "#1f77b4"),
+            (b, left_b, "algorithm_b", "#d62728")):
         for x, y in _swarm_positions(list(values), x_center, y_of, rng):
             lines.append(f'<circle class="swarm-point" cx="{_px(x)}" cy="{_px(y)}" '
                          f'r="{_px(SWARM_RADIUS)}" fill="{color}" fill-opacity="0.85"/>')
@@ -174,10 +147,10 @@ def gardner_altman_svg(spec: EstimationPlotSpec) -> str:
         f"{_fmt(ci['level'] * 100)}% CI [{_fmt(ci['low'])}, {_fmt(ci['high'])}] "
         f"({ci['method']})",
     ]
-    if spec.comparison.get("cohens_d") is not None:
-        labels.append(f"d = {_fmt(spec.comparison['cohens_d'])} "
-                      f"({spec.comparison['effect_label']})")
-    wilcoxon = spec.comparison.get("wilcoxon") or {}
+    if comparison.get("cohens_d") is not None:
+        labels.append(f"d = {_fmt(comparison['cohens_d'])} "
+                      f"({comparison['effect_label']})")
+    wilcoxon = comparison.get("wilcoxon") or {}
     if wilcoxon.get("p_value") is not None:
         labels.append(f"p = {_fmt(wilcoxon['p_value'])}")
     for i, text in enumerate(labels):
@@ -231,17 +204,56 @@ def text_summary(record: dict) -> str:
     comparisons = record.get("comparison", [])
     if comparisons:
         out.append("statistics (algorithm a - algorithm b, per metric):")
-        for comp in comparisons:
-            if comp.get("wilcoxon_incomputable"):
-                w_text = f"wilcoxon incomputable ({comp['wilcoxon_incomputable']})"
-            else:
-                w_text = wilcoxon_text(comp["wilcoxon"])
-            if comp.get("cohens_d_incomputable"):
-                d_text = f"d incomputable ({comp['cohens_d_incomputable']})"
-            else:
-                d_text = f"d={_fmt(comp['cohens_d'])} ({comp['effect_label']})"
-            ci = comp["bootstrap_ci"]
-            out.append(f"  {comp['metric_name']}: diff={_fmt(comp['point_estimate'])}  "
-                       f"{w_text}  {d_text}  "
-                       f"CI[{_fmt(ci['low'])}, {_fmt(ci['high'])}] ({ci['method']})")
+        out.extend("  " + statistics_line(comp) for comp in comparisons)
     return "\n".join(out) + "\n"
+
+
+def statistics_line(comp: dict) -> str:
+    """One stored comparison's statistics, as ``summary.txt`` lists them.
+
+    An exact Wilcoxon test also shows the smallest p-value its n_effective
+    allows, 2^(1 - n): with few datasets no difference can reach significance.
+    """
+    if comp.get("wilcoxon_incomputable"):
+        w_text = f"wilcoxon incomputable ({comp['wilcoxon_incomputable']})"
+    else:
+        wilcoxon = comp["wilcoxon"]
+        n = wilcoxon["n_effective"]
+        w_text = f"W={_fmt(wilcoxon['statistic'])} p={_fmt(wilcoxon['p_value'])}"
+        if wilcoxon["method"] == "exact":
+            w_text += f" min_p={_fmt(min(1.0, 2.0 ** (1 - n)))}"
+        w_text += f" n_eff={n} [{wilcoxon['method']}]"
+    if comp.get("cohens_d_incomputable"):
+        d_text = f"d incomputable ({comp['cohens_d_incomputable']})"
+    else:
+        d_text = f"d={_fmt(comp['cohens_d'])} ({comp['effect_label']})"
+    ci = comp["bootstrap_ci"]
+    return (f"{comp['metric_name']}: diff={_fmt(comp['point_estimate'])}  "
+            f"{w_text}  {d_text}  "
+            f"CI[{_fmt(ci['low'])}, {_fmt(ci['high'])}] ({ci['method']})")
+
+
+def comparison_text(comp: dict) -> str:
+    """``gridbench compare``'s view of one stored comparison: both slots'
+    per-dataset values, then the line ``summary.txt`` shows for it."""
+    lines = [f"metric: {comp['metric_name']}"]
+    lines += [f"  algorithm_{slot}: " + ", ".join(map(_fmt, comp[f"{slot}_values"]))
+              for slot in ("a", "b")]
+    return "\n".join(lines + ["  " + statistics_line(comp)])
+
+
+def write_reports(record: dict, report_dir) -> list[Path]:
+    """Write ``summary.txt`` and one estimation plot per compared metric
+    into ``report_dir``; returns the paths written."""
+    report_dir = Path(report_dir)
+    report_dir.mkdir(parents=True, exist_ok=True)
+    summary_path = report_dir / "summary.txt"
+    summary_path.write_text(text_summary(record), encoding="utf-8")
+    written = [summary_path]
+    for comp in record.get("comparison", []):
+        metric = comp["metric_name"]
+        path = report_dir / f"gardner_altman_{metric}.svg"
+        svg = gardner_altman_svg(comp, derive_seed(record["master_seed"], f"plot:{metric}"))
+        path.write_text(svg, encoding="utf-8")
+        written.append(path)
+    return written

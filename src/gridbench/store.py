@@ -147,6 +147,9 @@ METRICS_CONFIG_SCHEMA = _obj({
 
 EXPLAINER_KIND_SCHEMA = {"enum": ["blackbox", "basic_join"]}
 EXPLAINER_MODE_SCHEMA = {"enum": ["auto", "exact", "sampled"]}
+# A dataset's Purdue-model level as a config or a manifest gives it; the
+# record keeps its own, unbounded type, which the pinned schema hash covers.
+PURDUE_LEVEL_SCHEMA = {"type": ["integer", "null"], "minimum": 0, "maximum": 5}
 
 STUDY_RECORD_SCHEMA = _obj({
     "study_id": _STR,

@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .models import DEFAULT_HYPERPARAMETERS, train, train_stack
 from .preprocess import FittedPipeline, PipelineConfig, apply_pipeline, fit_pipeline
-from .report import EstimationPlotSpec, gardner_altman_svg, text_summary
+from .report import write_reports
 from .seeding import derive_seed
 from .stats import compare
 from .store import (
@@ -51,6 +51,7 @@ from .store import (
     LD_CONTEXT,
     METRICS_CONFIG_SCHEMA,
     PREPROCESSING_CONFIG_SCHEMA,
+    PURDUE_LEVEL_SCHEMA,
     SCHEMA_VERSION,
     DocumentStore,
     _obj,
@@ -80,8 +81,7 @@ EXPLAINER_DEFAULTS = {"explainer": "blackbox", "mode": "auto", "n_samples": 2000
 SLOTS = (("algorithm_a", "a"), ("algorithm_b", "b"))
 
 # The JSON Schema of each annotation of a dataclass field or default's type.
-_TYPED = {"int": _INT, "float": _NUMBER, "str": _STR,
-          "int | None": {"type": ["integer", "null"]}}
+_TYPED = {"int": _INT, "float": _NUMBER, "str": _STR}
 
 
 def _optional(schema: dict, **bounds) -> dict:
@@ -128,7 +128,9 @@ STUDY_CONFIG_SCHEMA = _obj({
     "datasets": {"type": "array", "minItems": 1, "items": {
         "if": {"properties": {"type": {"const": "synthetic"}}},
         "then": _obj({"type": {"const": "synthetic"},
-                      **{f.name: _TYPED[f.type] for f in fields(SyntheticSpec)}},
+                      **{f.name: _TYPED[f.type] for f in fields(SyntheticSpec)
+                         if f.name != "purdue_level"},
+                      "purdue_level": PURDUE_LEVEL_SCHEMA},
                      ["type"] + [f.name for f in fields(SyntheticSpec)
                                  if f.default is MISSING]),
         "else": _obj({"type": {"enum": ["synthetic", "manifest"]},
@@ -209,10 +211,7 @@ def _build_dataset(entry: dict, index: int, master_seed: int,
     if entry["type"] == "synthetic":
         spec = SyntheticSpec(**{k: v for k, v in entry.items() if k != "type"})
         return generate_synthetic(spec, derive_seed(master_seed, "dataset", index))
-    path = Path(entry["path"])
-    if not path.is_absolute():
-        path = base_dir / path
-    return load_csv(path)
+    return load_csv(base_dir / entry["path"])
 
 
 def _train_algorithm(model_spec: dict, X, y, seed: int):
@@ -280,6 +279,25 @@ def _check_loaded_names(entries: list[dict], prepared: list[_Prepared]):
         loaded[name] = i
 
 
+def _one_blas_thread():
+    """Training-pool initializer: cap the worker's BLAS at one thread.
+
+    A forked worker inherits the calling process's BLAS thread count, so two
+    workers would oversubscribe the cores, and ``OPENBLAS_NUM_THREADS`` is
+    read only when numpy is first imported. Where numpy bundles no
+    scipy-openblas with this setter (another BLAS, or a system library),
+    nothing is capped and each worker keeps the BLAS's own count.
+    """
+    import ctypes  # here, so that ``import gridbench`` does not pay for it
+
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        # the library is loaded already, so this is numpy's own handle
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _timed_train(model_spec: dict, X, y, seed: int):
     """Train one model spec in a worker; the time covers training alone."""
     t0 = time.perf_counter()
@@ -309,7 +327,8 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
     jobs = [(i, digest, slot_key) for i in range(len(prepared))
             for digest, slot_key in owners.items()]
     pool = ProcessPoolExecutor(min(os.cpu_count() or 1, len(jobs)),
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
     try:
         futures = [pool.submit(_timed_train, config[slot_key]["model"],
                                prepared[i].X_train, prepared[i].pair.train.labels,
@@ -513,42 +532,9 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     record["timings"]["total_seconds"] = time.perf_counter() - started
     record["reproducibility_digest"] = reproducibility_digest(record)
 
+    # joining an absolute path to output_base gives the absolute path
     store_root = os.environ.get("GRIDBENCH_STORE") or config["output"]["store_root"]
-    store_root = Path(store_root)
-    if not store_root.is_absolute():
-        store_root = output_base / store_root
-    store = DocumentStore(store_root)
-    store.save(record)
-
-    report_dir = Path(config["output"]["report_dir"])
-    if not report_dir.is_absolute():
-        report_dir = output_base / report_dir
-    write_reports(record, report_dir)
+    DocumentStore(output_base / store_root).save(record)
+    write_reports(record, output_base / config["output"]["report_dir"])
     return record
 
-
-def write_reports(record: dict, report_dir) -> list[Path]:
-    """Render the text summary and one estimation plot per compared metric."""
-    report_dir = Path(report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    summary_path = report_dir / "summary.txt"
-    summary_path.write_text(text_summary(record), encoding="utf-8")
-    written.append(summary_path)
-
-    for comp in record.get("comparison", []):
-        spec = EstimationPlotSpec(
-            metric_name=comp["metric_name"],
-            group_a_name="algorithm_a",
-            group_b_name="algorithm_b",
-            a_values=tuple(comp["a_values"]),
-            b_values=tuple(comp["b_values"]),
-            comparison=comp,
-            jitter_seed=derive_seed(record["master_seed"],
-                                    f"plot:{comp['metric_name']}"),
-        )
-        path = report_dir / f"gardner_altman_{comp['metric_name']}.svg"
-        path.write_text(gardner_altman_svg(spec), encoding="utf-8")
-        written.append(path)
-    return written

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gridbench.data import (
 from gridbench.errors import (
     DegenerateSplit,
     InvalidSpec,
+    MalformedManifest,
     MissingFile,
     NonBinaryLabel,
     UnknownLabelColumn,
@@ -105,6 +107,18 @@ class TestLoadCsv:
     def test_purdue_level_carried(self, tmp_path):
         ds = load_csv(_write_manifest(tmp_path, CSV_OK, {"purdue_level": 3}))
         assert ds.purdue_level == 3
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"label": "label"}, "'label' was unexpected"),
+        ({"columns": [{"name": "duration", "kind": "text"}]}, "/columns/0/kind: "),
+        ({"columns": [{"name": "duration"}]}, "/columns/0: 'kind'"),
+        ({"purdue_level": 9}, "/purdue_level: "),
+        ({"negative_label_values": "normal"}, "/negative_label_values: "),
+    ], ids=["unknown_key", "column_kind", "column_without_kind",
+            "purdue_level_range", "negative_label_values_string"])
+    def test_manifest_is_closed_and_typed(self, tmp_path, extra, named):
+        with pytest.raises(MalformedManifest, match=re.escape(named)):
+            load_csv(_write_manifest(tmp_path, CSV_OK, extra))
 
 
 class TestDatasetInvariants:

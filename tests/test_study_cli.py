@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import json
 import multiprocessing
 import os
@@ -67,8 +68,9 @@ class InlineExecutor:
         pass
 
 
-def write_manifest(folder, period=3):
-    """``folder/data.csv`` and a manifest that does not name the dataset."""
+def write_manifest(folder, period=3, **extra):
+    """``folder/data.csv`` and a manifest that does not name the dataset,
+    with ``extra`` keys added to the manifest."""
     folder.mkdir()
     (folder / "data.csv").write_text(
         "f1,f2,label\n" + "\n".join(
@@ -81,11 +83,16 @@ def write_manifest(folder, period=3):
         "positive_label_values": ["attack"],
         "columns": [{"name": "f1", "kind": "numeric"},
                     {"name": "f2", "kind": "numeric"}],
+        **extra,
     }))
 
 
 def no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
+
+
+def no_building(*args, **kwargs):
+    raise AssertionError("a dataset was built")
 
 
 # One mistake per case, applied to ``mistake_base()``: where it sits, the key
@@ -128,6 +135,7 @@ CONFIG_MISTAKES = [
     (("algorithm_b", "model", "stack", "first_level", 2, "hyper"), "init_scale", -1.0),
     (("algorithm_b", "model", "stack"), "folds", 3.0),
     ((), "metrics", {"morf_k": 2.0}),
+    (("datasets", 1), "purdue_level", 9),
 ]
 
 
@@ -350,9 +358,12 @@ class TestCli:
             assert (originals / path.name).read_bytes() == path.read_bytes()
 
         assert main(["compare", study_id, "sens_max"] + store_arg) == 0
-        out = capsys.readouterr().out
-        assert "metric: sens_max" in out
-        assert "bootstrap_ci" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "metric: sens_max"
+        summary = (originals / "summary.txt").read_text(encoding="utf-8")
+        sens_max_line = next(line for line in summary.splitlines()
+                             if line.startswith("  sens_max: diff="))
+        assert sens_max_line in out
 
         assert main(["datasets", "list", str(tmp_path / "studies")]) == 0
         out = capsys.readouterr().out
@@ -459,6 +470,52 @@ class TestCli:
         assert "datasets[0]" in error
         assert "'substation_7'" in error and "'data'" in error
 
+    @pytest.mark.parametrize("key, value", [
+        ("purdue_level", "3"),
+        ("purdue_level", True),
+        ("name", 5),
+        ("positive_label_values", "1x"),
+    ], ids=["purdue_level_string", "purdue_level_bool", "name_int",
+            "positive_label_values_string"])
+    def test_mistyped_manifest_exits_1_before_training(self, tmp_path, capsys,
+                                                       monkeypatch, key, value):
+        write_manifest(tmp_path / "one", **{key: value})
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        config = tiny_config()
+        config["datasets"][1] = {"type": "manifest", "path": "one/manifest.json"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest ") and f"/{key}: " in err
+        assert "datasets[1] (one/manifest.json)" in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
+
+    def test_training_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so"))
+        blas = ctypes.CDLL(str(libs[0])) if libs else None
+        if not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+            pytest.skip("numpy bundles no scipy-openblas thread-count setter")
+
+        def blas_threads(*args):
+            return blas.scipy_openblas_get_num_threads64_()
+
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", blas_threads)
+        config = validate_config(tiny_config())
+        prepared = [gridbench.study._prepare_dataset(i, entry, config, tmp_path)
+                    for i, entry in enumerate(config["datasets"])]
+        # two threads in the calling process, whatever the host's core count
+        threads = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(2)
+        try:
+            fits = gridbench.study._train_models(config, prepared)
+            assert blas.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            blas.scipy_openblas_set_num_threads64_(threads)
+        assert [worker_threads for worker_threads, _ in fits.values()] == [1] * 4
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_process_outlives_a_run(self, fails, tmp_path, capsys,
                                        monkeypatch):
@@ -500,6 +557,7 @@ class TestCli:
                                   for path, key, _ in CONFIG_MISTAKES])
     def test_config_mistake_exits_1_before_training(self, tmp_path, capsys,
                                                     monkeypatch, path, key, value):
+        monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
         monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
         config = mistake_base()
         validate_config(config)

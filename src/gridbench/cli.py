@@ -6,7 +6,8 @@ Subcommands: ``run <config>``, ``compare <study_id> <metric>``,
 2 runtime error. Diagnostics go to stderr; machine output goes to files.
 The GRIDBENCH_STORE environment variable overrides the store root; the
 read commands (``compare``, ``report``, ``datasets list``) need an existing
-store and never create one.
+store and never create one. ``validate``, ``compare`` and ``report`` refuse
+a record whose ``reproducibility_digest`` does not match its content.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import GridBenchError, ValidationError
 from .report import comparison_text, write_reports
-from .store import DocumentStore, validate
+from .store import DocumentStore, check_digest, validate
 from .study import run_study
 
 
@@ -94,6 +95,7 @@ def _cmd_validate(args) -> int:
         for violation in violations:
             print(violation, file=sys.stderr)
         raise ValidationError(f"{len(violations)} schema violation(s)")
+    check_digest(document)
     print(f"{path} is a valid study record", file=sys.stderr)
     return 0
 

@@ -120,5 +120,9 @@ class SchemaViolation(ValidationError):
         return type(self), (self.violations,), self.__dict__
 
 
+class DigestMismatch(ValidationError):
+    """A record's reproducibility_digest is not the digest of its content."""
+
+
 class NotFound(GridBenchError):
     pass

@@ -150,60 +150,100 @@ def _coalition_tables(g: int):
 
 
 def _explain_all(models, X, background: Background, exact: bool,
-                 n_samples: int, seed: int) -> list[list[Explanation]]:
-    """Per model, the explanation of each row of X.
+                 n_samples: int, seed: int, second=None) -> list[list[Explanation]]:
+    """Per model, the explanation of each row of X, and with ``second`` that
+    of the stack whose second level ``second`` scores the models' scores.
 
-    Exact mode scores all models on one coalition matrix per row; a row
-    after row 0 scores only the coalitions holding a player where it
-    differs from row 0 and copies the rest from row 0, whose imputed rows
-    are the same.
+    All models are scored on one matrix per row: in exact mode the row's
+    coalitions (a row after row 0 scores only those holding a player where
+    it differs from row 0 and copies the rest from row 0, whose imputed rows
+    are the same), in sampled mode the row's permutation points.
     """
-    if not exact:
-        return [[_sampled_shapley(model, x, background, n_samples, seed) for x in X]
-                for model in models]
+    def score(z):
+        scores = [model.score(z) for model in models]
+        if second is not None:
+            scores.append(second.score(np.column_stack(scores)))
+        return np.vstack(scores)
+
     n, d = X.shape
+    if not exact:
+        return _sampled_shapley(score, X, background, n_samples, seed)
     bits, pairs = _coalition_tables(background.n_players)
     held = bits[:, background.players]  # (coalition, column): column's player in S
-    v = np.empty((len(models), n, len(bits)))
+    v = np.empty((len(models) + (second is not None), n, len(bits)))
     for r, x in enumerate(X):
         todo = np.flatnonzero((r == 0) | held[:, x != X[0]].any(axis=1))
         v[:, r] = v[:, 0]  # what row r shares with row 0 (row 0 rescores all)
         if todo.size:
             # (coalition, background, column): instance value on the coalition
             z = np.where(held[todo, None, :], x, background.rows[None, :, :]).reshape(-1, d)
-            scores = np.vstack([model.score(z) for model in models])
-            v[:, r, todo] = scores.reshape(len(models), todo.size, -1).mean(axis=2)
+            v[:, r, todo] = score(z).reshape(len(v), todo.size, -1).mean(axis=2)
     return [[Explanation(phi=np.array([np.dot(w, v_r[with_i] - v_r[without])
                                        for without, with_i, w in pairs]),
                          base_value=float(v_r[0])) for v_r in v_model]
             for v_model in v]
 
 
-def _sampled_shapley(model, x, background: Background, n_samples: int,
-                     seed: int) -> Explanation:
-    d = x.shape[0]
+def _sampled_shapley(score, X, background: Background, n_samples: int,
+                     seed: int) -> list[list[Explanation]]:
+    """Per table of ``score``, the sampled explanation of each row of X."""
+    d = X.shape[1]
     g = background.n_players
     bg = background.rows
     rng = np.random.default_rng(seed)
 
     row_idx = rng.integers(0, bg.shape[0], size=n_samples)
     perms = rng.permuted(np.tile(np.arange(g), (n_samples, 1)), axis=1)
+    # (step, permutation, column): the columns of the step's player
+    switch = background.players[None, None, :] == perms.T[:, :, None]
+    base = score(bg).mean(axis=1)
 
-    # prefix points per permutation: start at the background row, switch one
-    # player's columns at a time to the instance values
-    points = np.empty((n_samples, g + 1, d), dtype=np.float64)
-    points[:, 0, :] = bg[row_idx]
-    for k in range(g):
-        switch = background.players[None, :] == perms[:, k, None]
-        points[:, k + 1, :] = np.where(switch, x, points[:, k, :])
+    phis = []
+    for x in X:
+        # prefix points per permutation: start at the background row, switch
+        # one player's columns at a time to the instance values
+        points = np.empty((n_samples, g + 1, d), dtype=np.float64)
+        points[:, 0, :] = bg[row_idx]
+        for k in range(g):
+            points[:, k + 1, :] = np.where(switch[k], x, points[:, k, :])
+        scores = score(points.reshape(n_samples * (g + 1), d))
+        marginals = np.diff(scores.reshape(len(base), n_samples, g + 1), axis=2)
+        phi = np.zeros((len(base), g))
+        for phi_t, marginals_t in zip(phi, marginals):
+            np.add.at(phi_t, perms.ravel(), marginals_t.ravel())
+        phis.append(phi / n_samples)
+    return [[Explanation(phi=phi[t], base_value=float(base[t])) for phi in phis]
+            for t in range(len(base))]
 
-    scores = model.score(points.reshape(n_samples * (g + 1), d))
-    marginals = np.diff(scores.reshape(n_samples, g + 1), axis=1)
 
-    phi = np.zeros(g)
-    np.add.at(phi, perms.ravel(), marginals.ravel())
-    phi /= n_samples
-    return Explanation(phi=phi, base_value=float(model.score(bg).mean()))
+def _explain(kinds: tuple, model, x, background: Background, mode: str,
+             n_samples: int, seed: int) -> list:
+    """Per kind, what that kind alone returns for ``x``, from one pass.
+
+    With "basic_join" among the kinds the stack's members are scored, and
+    "blackbox" takes the stack's values from the second level over their
+    scores, as ``StackedEnsemble.score`` computes them; otherwise the model
+    is scored whole.
+    """
+    X, single, exact = _prepare(model, x, background, mode)
+    join = "basic_join" in kinds
+    models = model.first_level if join else [model]
+    second = model.second_level if join and "blackbox" in kinds else None
+    tables = _explain_all(models, X, background, exact, int(n_samples), int(seed),
+                          second)
+    results = {"blackbox": tables[-1]}
+    if join:
+        score_background = Background(model.first_level_scores(background.rows))
+        # one single-row call per instance: batched rows can differ in the last bits
+        S = np.array([model.first_level_scores(row[None, :])[0] for row in X])
+        weights = shapley_explain(model.second_level, S, score_background,
+                                  mode=mode, n_samples=n_samples, seed=seed)
+        results["basic_join"] = [
+            Explanation(phi=join_attributions(
+                np.column_stack([e[r].phi for e in tables[:len(models)]]), w.phi),
+                base_value=w.base_value)
+            for r, w in enumerate(weights)]
+    return [results[kind][0] if single else results[kind] for kind in kinds]
 
 
 def shapley_explain(model, x, background: Background, mode: str = "auto",
@@ -219,10 +259,7 @@ def shapley_explain(model, x, background: Background, mode: str = "auto",
     allows it). Exact mode satisfies local accuracy: base_value + sum(phi)
     equals score(x) to float precision.
     """
-    X, single, exact = _prepare(model, x, background, mode)
-    explanations = _explain_all([model], X, background, exact,
-                                int(n_samples), int(seed))[0]
-    return explanations[0] if single else explanations
+    return _explain(("blackbox",), model, x, background, mode, n_samples, seed)[0]
 
 
 def join_attributions(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -252,34 +289,25 @@ def basic_join_explain(ens: StackedEnsemble, x, background: Background,
     contributions to the second-level output distribute over the players.
     ``x`` is as for ``shapley_explain``.
     """
-    X, single, exact = _prepare(ens, x, background, mode)
-    first = _explain_all(ens.first_level, X, background, exact,
-                         int(n_samples), int(seed))
-    score_background = Background(ens.first_level_scores(background.rows))
-    # one single-row call per instance: batched rows can differ in the last bits
-    S = np.array([ens.first_level_scores(row[None, :])[0] for row in X])
-    second = shapley_explain(ens.second_level, S, score_background,
-                             mode=mode, n_samples=n_samples, seed=seed)
-    explanations = [
-        Explanation(phi=join_attributions(np.column_stack([e[r].phi for e in first]),
-                                          w.phi),
-                    base_value=w.base_value)
-        for r, w in enumerate(second)]
-    return explanations[0] if single else explanations
+    return _explain(("basic_join",), ens, x, background, mode, n_samples, seed)[0]
 
 
-def build_explainer(kind: str, mode: str = "auto", n_samples: int = 2000):
-    """Bind an explainer kind to a callable (model, x, background, seed)->Explanation.
+def build_explainer(kind, mode: str = "auto", n_samples: int = 2000):
+    """Bind an explainer kind to a callable (model, x, background, seed).
 
-    ``kind`` is "blackbox" (whole-model Shapley) or "basic_join". The
-    returned callable is the interface every explanation metric consumes;
-    given a matrix of instances it returns a list of explanations.
+    ``kind`` is "blackbox" (whole-model Shapley) or "basic_join", and the
+    callable returns what ``shapley_explain`` or ``basic_join_explain``
+    returns: an explanation, or a list of them for a matrix of instances.
+    ``kind`` may also be a tuple of kinds to explain one model with in one
+    pass; the callable then returns a list with each kind's result, equal
+    to what that kind alone returns. The callable is the interface every
+    explanation metric consumes.
     """
-    explainers = {"blackbox": shapley_explain, "basic_join": basic_join_explain}
-    if kind not in explainers:
-        raise ValueError(f"unknown explainer kind {kind!r}")
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    if not set(kinds) <= {"blackbox", "basic_join"}:
+        raise ValueError(f"unknown explainer kind in {kind!r}")
 
     def explain(model, x, background, seed=0):
-        return explainers[kind](model, x, background, mode=mode,
-                                n_samples=n_samples, seed=seed)
+        results = _explain(kinds, model, x, background, mode, n_samples, seed)
+        return results[0] if isinstance(kind, str) else results
     return explain

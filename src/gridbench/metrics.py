@@ -3,8 +3,9 @@
 Explanation metrics consume an explainer callable with the signature
 ``explain(model, x, background, seed) -> Explanation`` (see
 ``explain.build_explainer``). ``explanation_metrics_suite`` explains each
-instance once, in one call with its ``sens_max`` candidates; the error,
-``sens_max`` (as its reference) and the MoRF order all use it. The
+instance once, in one call with its ``sens_max`` candidates, for one
+explainer kind or several; the error, ``sens_max`` (as its reference) and
+the MoRF order all use it. The
 background's grouping decides what the perturbation metrics may touch:
 ``sens_max`` moves numeric columns only, and MoRF removes whole players.
 Every metric is a pure function of its inputs and seeds; per-instance
@@ -24,7 +25,7 @@ from .errors import (
     NoFlipFound,
     SingleClassLabels,
 )
-from .explain import Background
+from .explain import Background, Explanation
 from .seeding import derive_seed
 from .stats import average_ranks
 
@@ -303,36 +304,43 @@ def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
 
 def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
                               background: Background, r: float = 0.01,
-                              n_probes: int = 8, K: int = 5,
-                              seed: int = 0) -> ExplanationMetrics:
+                              n_probes: int = 8, K: int = 5, seed: int = 0):
     """Instance-averaged explanation accuracy, stability, and importance.
 
-    Each instance is explained once, with its ``sens_max`` candidates, for
-    the error, the ``sens_max`` reference and the MoRF order (ties broken
-    by lower player index). MoRF removes min(K, G) of the G players.
+    ``explain_fn`` is a lone explainer, which gives one ``ExplanationMetrics``,
+    or one that returns a list of explanation lists, one per kind (as
+    ``build_explainer`` of a tuple of kinds does), which gives a list of
+    ``ExplanationMetrics`` in the same order. Each instance is explained
+    once, with its ``sens_max`` candidates, for every kind; each kind's
+    explanation gives its error, its ``sens_max`` reference and its MoRF
+    order (ties broken by lower player index). MoRF removes min(K, G) of
+    the G players.
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     scores = model.score(instances)
-    errors = []
-    sens_values = []
-    morf_values = []
     K_eff = min(K, background.n_players)
+    per_instance = []  # per instance, per kind: (error, sens_max, MoRF area)
     for i, x in enumerate(instances):
         sens_seed = derive_seed(seed, "sens", i)
         points = _sens_points(x, r, n_probes, sens_seed, background.numeric)
-        expl, *candidates = explain_fn(model, points, background,
-                                       seed=derive_seed(sens_seed, "sens_explain"))
-        errors.append(abs(expl.prediction() - float(scores[i])))
-        sens_values.append(_max_shift(expl.phi, candidates))
-        order = np.argsort(-np.abs(expl.phi), kind="stable")
-        morf_values.append(auc_morf(model, x, K_eff, background, order))
-    return ExplanationMetrics(
+        explained = explain_fn(model, points, background,
+                               seed=derive_seed(sens_seed, "sens_explain"))
+        lone = isinstance(explained[0], Explanation)
+        per_instance.append([
+            (abs(expl.prediction() - float(scores[i])),
+             _max_shift(expl.phi, candidates),
+             auc_morf(model, x, K_eff, background,
+                      np.argsort(-np.abs(expl.phi), kind="stable")))
+            for expl, *candidates in ([explained] if lone else explained)])
+    suites = [ExplanationMetrics(
         explanation_error=float(np.mean(errors)),
         sens_max=float(np.mean(sens_values)),
         sens_radius=float(r),
         auc_morf=float(np.mean(morf_values)),
         morf_features_evaluated=int(K_eff),
-    )
+    ) for errors, sens_values, morf_values in
+        (zip(*kind) for kind in zip(*per_instance))]
+    return suites[0] if lone else suites
 
 
 def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarray,

@@ -3,6 +3,7 @@
 Documents are canonical JSON (sorted keys, 17-significant-digit floats) so
 reloading and re-serializing a record is byte-identical. The schema is
 closed: unknown fields are violations, which keeps silent drift impossible.
+``DocumentStore.load`` recomputes a record's digest and refuses a mismatch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import jsonschema
 
 from .canonical import canonical_json, sha256_hex
-from .errors import GridBenchError, NotFound, SchemaViolation
+from .errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation
 
 SCHEMA_VERSION = "1"
 
@@ -331,6 +332,15 @@ def reproducibility_digest(record: dict) -> str:
     return sha256_hex(canonical_json(doc))
 
 
+def check_digest(record: dict):
+    """Raise DigestMismatch unless the record's ``reproducibility_digest``
+    is the digest of its content, as it is when the run saved it."""
+    stored, computed = record.get("reproducibility_digest"), reproducibility_digest(record)
+    if stored != computed:
+        raise DigestMismatch(f"reproducibility_digest {stored} does not match "
+                             f"the record's content, whose digest is {computed}")
+
+
 class DocumentStore:
     """Directory of schema-validated study records, one file per study.
 
@@ -388,7 +398,10 @@ class DocumentStore:
         return path.read_bytes()
 
     def load(self, study_id: str) -> dict:
-        return json.loads(self.load_bytes(study_id).decode("utf-8"))
+        """The record, after checking its digest against its content."""
+        record = json.loads(self.load_bytes(study_id).decode("utf-8"))
+        check_digest(record)
+        return record
 
     def query(self, dataset_name: str | None = None, model_kind: str | None = None,
               date_range: tuple[str, str] | None = None) -> list[dict]:

@@ -28,7 +28,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .canonical import canonical_json, sha256_hex
-from .data import Dataset, SplitPair, SyntheticSpec, generate_synthetic, load_csv, split
+from .data import (
+    Dataset,
+    SplitPair,
+    SyntheticSpec,
+    _read_manifest,
+    generate_synthetic,
+    load_csv,
+    split,
+)
 from .errors import InvalidConfig
 from .explain import build_explainer, sample_background
 from .metrics import (
@@ -224,13 +232,14 @@ def _train_algorithm(model_spec: dict, X, y, seed: int):
 
 
 @contextmanager
-def _noted(note: str):
-    """Add ``note`` to any exception raised in the block (Python 3.11+)."""
+def _noted(*notes: str):
+    """Add ``notes`` to any exception raised in the block (Python 3.11+)."""
     try:
         yield
     except Exception as exc:
         if hasattr(exc, "add_note"):
-            exc.add_note(note)
+            for note in notes:
+                exc.add_note(note)
         raise
 
 
@@ -383,45 +392,62 @@ def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
         "metrics": [],
     }
 
+    passes = {}  # (digest, background_size, mode, n_samples) -> slot keys
     evaluated = {}  # model digest -> (predict_time, cls, robust)
+    for slot_key, _ in SLOTS:
+        algo = config[slot_key]
+        digest = _model_digest(algo["model"])
+        passes.setdefault((digest, algo["background_size"], algo["mode"],
+                           algo["n_samples"]), []).append(slot_key)
+        if digest in evaluated:
+            continue
+        with _noted(_slot_note(slot_key, config)):
+            model = fits[index, digest][0]
+            t0 = time.perf_counter()
+            test_scores = model.score(X_test)
+            predict_time = time.perf_counter() - t0
+            cls = classification_metrics(test_scores, y_test, model.threshold)
+
+            robust = robustness_metrics_suite(
+                model, X_test[robust_rows], X_train,
+                n_random_dirs=mcfg["n_random_dirs"],
+                max_pairs=mcfg["lipschitz_max_pairs"],
+                seed=derive_seed(master, f"robust:{digest}", index))
+            evaluated[digest] = (predict_time, cls, robust)
+
+    # Slots that explain one fit against one background share a pass: each
+    # instance and its probes are explained once for all of their kinds, and
+    # every slot of the pass records its wall time as its explain_time.
+    background_seed = derive_seed(master, "background", index)
+    explained = {}  # slot key -> (background, explanation metrics, explain_time)
+    for (digest, size, mode, n_samples), slot_keys in passes.items():
+        with _noted(*[_slot_note(slot_key, config) for slot_key in slot_keys]):
+            background = sample_background(X_train, size, background_seed,
+                                           players, numeric)
+            explain_fn = build_explainer(
+                tuple(config[slot_key]["explainer"] for slot_key in slot_keys),
+                mode, n_samples)
+            t0 = time.perf_counter()
+            suites = explanation_metrics_suite(
+                explain_fn, fits[index, digest][0], X_test[explain_rows], background,
+                r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
+                seed=derive_seed(master, "explain", index))
+            explain_time = time.perf_counter() - t0
+        for slot_key, expl in zip(slot_keys, suites):
+            explained[slot_key] = (background, expl, explain_time)
+
     for slot_key, slot in SLOTS:
         algo = config[slot_key]
-        with _noted(_slot_note(slot_key, config)):
-            digest = _model_digest(algo["model"])
-            train_seed = derive_seed(master, f"train:{digest}", index)
-            model, train_time = fits[index, digest]
-            if digest not in evaluated:
-                t0 = time.perf_counter()
-                test_scores = model.score(X_test)
-                predict_time = time.perf_counter() - t0
-                cls = classification_metrics(test_scores, y_test, model.threshold)
-
-                robust = robustness_metrics_suite(
-                    model, X_test[robust_rows], X_train,
-                    n_random_dirs=mcfg["n_random_dirs"],
-                    max_pairs=mcfg["lipschitz_max_pairs"],
-                    seed=derive_seed(master, f"robust:{digest}", index))
-                evaluated[digest] = (predict_time, cls, robust)
-            predict_time, cls, robust = evaluated[digest]
-
-            background_seed = derive_seed(master, "background", index)
-            background = sample_background(X_train, algo["background_size"],
-                                           background_seed, players, numeric)
-            explain_fn = build_explainer(algo["explainer"], algo["mode"],
-                                         algo["n_samples"])
-            t0 = time.perf_counter()
-            expl = explanation_metrics_suite(
-                explain_fn, model, X_test[explain_rows], background,
-                r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
-                seed=derive_seed(master, f"explain:{slot}", index))
-            explain_time = time.perf_counter() - t0
-
+        digest = _model_digest(algo["model"])
+        model, train_time = fits[index, digest]
+        predict_time, cls, robust = evaluated[digest]
+        background, expl, explain_time = explained[slot_key]
         result["models"].append({
             "algorithm": slot,
             "dataset": ds.name,
             "kind": model.kind,
             "hyperparameters": model.hyperparameters,
-            "train_seed": train_seed,
+            "train_seed": derive_seed(master, f"train:{digest}", index),
             "threshold": model.threshold,
             "parameter_digest": model.parameter_digest(),
         })
@@ -480,8 +506,9 @@ def _comparison_block(config: dict, metric_entries: list[dict],
 def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     """Execute a validated study config end-to-end; returns the saved record.
 
-    Every dataset is built, split and preprocessed (the pipeline is fit on
-    train) and the loaded names are checked before any training. Each
+    Every manifest is read and checked before any dataset is built; every
+    dataset is built, split and preprocessed (the pipeline is fit on train)
+    and the loaded names are checked before any training. Each
     distinct model spec is trained once per dataset in forked worker
     processes; then every enabled metric is computed on test in the calling
     process. Cross-dataset statistics run afterwards; the record is saved
@@ -495,6 +522,10 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
 
     started = time.perf_counter()
     entries = config["datasets"]
+    for i, entry in enumerate(entries):  # every manifest, before any dataset is built
+        if entry["type"] == "manifest":
+            with _noted(_dataset_note(i, entry)):
+                _read_manifest(base_dir / entry["path"])
     prepared = []
     for i, entry in enumerate(entries):
         with _noted(_dataset_note(i, entry)):

@@ -37,7 +37,7 @@ from test_study_cli import tiny_config
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: shapley_explain(  # noqa: E731
     model, x, background, mode="exact", seed=seed)
-CASE_STUDY_DIGEST = "2b2e13d35fde259f46947daf894075d79f8273c967b8206fc19191099e1c510f"
+CASE_STUDY_DIGEST = "9ce13b9eb2975d66af94d75ea5b209d80cab0ecbb5fca89f95dd6770bdeffa76"
 # numeric-only: every column is its own player, so player grouping leaves it as it was
 TINY_CONFIG_DIGEST = "f182488274bbf84e7bc7445e080d1e0df6c9c99cc4a0fb724a9eb8956391de0d"
 

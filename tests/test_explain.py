@@ -434,6 +434,31 @@ class TestCoalitionEngine:
         assert scored == [b * 2**d, b * 2**(d - 1)]
 
 
+class TestJointPass:
+    @pytest.mark.parametrize("kinds", [("blackbox", "basic_join"),
+                                       ("basic_join", "blackbox")])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_each_kind_equals_that_kind_alone(self, mode, kinds, categorical_data,
+                                              categorical_stack):
+        # one pass scores the members once; the stack's values come from the
+        # second level over those scores, bit for bit what the stack scores
+        pipeline, X_train, _, X_test = categorical_data
+        bg = sample_background(X_train, 12, 0, *pipeline.players())
+        joint = build_explainer(kinds, mode, n_samples=40)
+        for x in (X_test[:5], X_test[6]):
+            got = joint(categorical_stack, x, bg, seed=5)
+            assert len(got) == len(kinds)
+            for kind, explained in zip(kinds, got):
+                alone = build_explainer(kind, mode, n_samples=40)(
+                    categorical_stack, x, bg, seed=5)
+                if isinstance(alone, Explanation):
+                    explained, alone = [explained], [alone]
+                assert len(explained) == len(alone)
+                for g, w in zip(explained, alone):
+                    assert np.array_equal(g.phi, w.phi)
+                    assert np.array_equal(g.base_value, w.base_value)
+
+
 def _grouped(rows, players, numeric=None):
     return Background(rows, np.array(players), numeric)
 

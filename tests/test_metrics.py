@@ -569,6 +569,20 @@ class TestSuites:
         assert [float(v).hex() for v in astuple(got)] == \
             [float(v).hex() for v in astuple(want)]
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_one_suite_per_kind_from_a_joint_explainer(self, mode, trained_stack,
+                                                       blob_matrices):
+        _, _, X_test, _ = blob_matrices
+        bg = sample_background(X_test, 8, seed=2)
+        kinds = ("blackbox", "basic_join")
+        args = dict(r=0.05, n_probes=3, K=3, seed=11)
+        got = explanation_metrics_suite(build_explainer(kinds, mode, n_samples=30),
+                                        trained_stack, X_test[:3], bg, **args)
+        want = [explanation_metrics_suite(build_explainer(kind, mode, n_samples=30),
+                                          trained_stack, X_test[:3], bg, **args)
+                for kind in kinds]
+        assert got == want
+
     def test_suites_schedule_independent(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from gridbench.canonical import canonical_json, sha256_hex
-from gridbench.errors import GridBenchError, NotFound, SchemaViolation
+from gridbench.errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation
 from gridbench.metrics import (
     ClassificationMetrics,
     ExplanationMetrics,
@@ -96,6 +96,18 @@ class TestRoundTrip:
         assert raw == canonical_json(record).encode("utf-8")
         reloaded = store.load(study_id)
         assert canonical_json(reloaded).encode("utf-8") == raw
+
+    def test_load_refuses_a_record_edited_after_its_digest(self, tmp_path):
+        store = DocumentStore(tmp_path / "store")
+        record = minimal_record()
+        study_id = store.save(record)
+        record["metrics"][1]["classification"]["auc"] = 0.123
+        (store.records_dir / f"{study_id}.json").write_text(
+            canonical_json(record), encoding="utf-8")
+        with pytest.raises(DigestMismatch) as excinfo:
+            store.load(study_id)
+        assert record["reproducibility_digest"] in str(excinfo.value)
+        assert reproducibility_digest(record) in str(excinfo.value)
 
     def test_load_missing_id(self, tmp_path):
         store = DocumentStore(tmp_path / "store")

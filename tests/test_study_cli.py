@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import ctypes
 import json
@@ -14,7 +15,10 @@ import pytest
 import gridbench.study
 from gridbench.cli import main
 from gridbench.errors import GridBenchError, InvalidConfig, SingleClassTrainingSet
-from gridbench.store import DocumentStore, validate
+from gridbench.explain import build_explainer
+from gridbench.metrics import explanation_metrics_suite
+from gridbench.models import DecisionTreeModel, LogisticRegressionModel, MLPModel
+from gridbench.store import DocumentStore, reproducibility_digest, validate
 from gridbench.study import run_study, validate_config
 from record_fixture import minimal_record
 
@@ -85,6 +89,17 @@ def write_manifest(folder, period=3, **extra):
                     {"name": "f2", "kind": "numeric"}],
         **extra,
     }))
+
+
+def shared_stack_config():
+    """``tiny_config`` whose slots hold one logreg/tree/MLP stack, explained
+    by the blackbox in slot a and by the basic join in slot b."""
+    config = tiny_config()
+    config["algorithm_b"]["model"]["stack"]["first_level"].append(
+        {"kind": "mlp", "hyper": {"epochs": 120}})
+    config["algorithm_a"].update(name="stack-blackbox",
+                                 model=config["algorithm_b"]["model"])
+    return config
 
 
 def no_training(*args, **kwargs):
@@ -281,8 +296,52 @@ class TestRunStudy:
                         for slot in ("a", "b"))
                 for section in ("classification", "robustness"):
                     assert a[section] == b[section]
-                for timing in ("train_time", "predict_time"):
+                # and, as both slots explain against one background, one pass
+                for timing in ("train_time", "predict_time", "explain_time"):
                     assert a["timings"][timing] == b["timings"][timing]
+
+    def test_shared_fit_scores_each_coalition_row_once(self, tmp_path, monkeypatch):
+        # Rows each first-level member scores in the study's explanation
+        # suites. One pass serves both slots, so a member scores its coalition
+        # rows once, as the basic join alone does; the blackbox adds only the
+        # rows of its own MoRF curves.
+        rows = collections.Counter()
+        counting = [False]
+        for cls in (LogisticRegressionModel, DecisionTreeModel, MLPModel):
+            def score(self, X, _original=cls.score):
+                if counting[0]:
+                    rows[id(self)] += len(X)
+                return _original(self, X)
+
+            monkeypatch.setattr(cls, "score", score)
+        suites = {}  # id(model) -> the suite's model, instances, background, kwargs
+
+        def counted(explain_fn, model, instances, background, _original=(
+                gridbench.study.explanation_metrics_suite), **kwargs):
+            suites[id(model)] = (model, instances, background, kwargs)
+            counting[0] = True
+            try:
+                return _original(explain_fn, model, instances, background, **kwargs)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(gridbench.study, "explanation_metrics_suite", counted)
+        run_study(shared_stack_config(), base_dir=tmp_path)
+        in_study = collections.Counter(rows)
+
+        rows.clear()
+        members = []
+        for model, instances, background, kwargs in suites.values():
+            counting[0] = True
+            explanation_metrics_suite(build_explainer("basic_join"), model,
+                                      instances, background, **kwargs)
+            counting[0] = False
+            morf_rows = len(instances) * (min(kwargs["K"], background.n_players) + 1)
+            for member in model.first_level:
+                rows[id(member)] += morf_rows
+                members.append(id(member))
+        assert len(suites) == 2 and len(members) == 6
+        assert {m: in_study[m] for m in members} == {m: rows[m] for m in members}
 
     def test_explanation_metrics_get_finite_statistics(self, study_dirs):
         _, record = study_dirs
@@ -417,6 +476,23 @@ class TestCli:
         assert "while evaluating algorithm_a (plain-logreg)" in err
         assert "while evaluating datasets[0] (tiny_a)" in err
 
+    def test_joint_pass_error_names_both_slots_and_the_dataset(
+            self, tmp_path, capsys, monkeypatch):
+        def failing_suite(*args, **kwargs):
+            raise GridBenchError("explainer failed")
+
+        monkeypatch.setattr(gridbench.study, "explanation_metrics_suite",
+                            failing_suite)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(shared_stack_config()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "explainer failed" in err
+        assert "while evaluating algorithm_a (stack-blackbox)" in err
+        assert "while evaluating algorithm_b (small-stack)" in err
+        assert "while evaluating datasets[0] (tiny_a)" in err
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         config = tiny_config()
         config["datasets"] = config["datasets"][:1]
@@ -491,6 +567,20 @@ class TestCli:
         assert err.startswith("error: manifest ") and f"/{key}: " in err
         assert "datasets[1] (one/manifest.json)" in err
         assert not any(tmp_path.glob("studies/records/*.json"))
+
+    def test_bad_manifest_exits_1_before_any_dataset_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        write_manifest(tmp_path / "one", purdue_level="3")
+        monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
+        config = tiny_config()
+        config["datasets"][1] = {"type": "manifest", "path": "one/manifest.json"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest ") and "/purdue_level: " in err
+        assert "datasets[1] (one/manifest.json)" in err
 
     def test_training_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
@@ -591,6 +681,29 @@ class TestCli:
         record_path.write_text(json.dumps(record), encoding="utf-8")
         assert main(["validate", str(record_path)]) == 1
         assert "master_seed" in capsys.readouterr().err
+
+    def test_validate_refuses_an_edited_auc(self, tmp_path, capsys):
+        fixture = Path(__file__).parent / "fixtures" / "example_record.json"
+        record = json.loads(fixture.read_text(encoding="utf-8"))
+        stored = record["reproducibility_digest"]
+        record["metrics"][0]["classification"]["auc"] = 0.123
+        record_path = tmp_path / "edited.json"
+        record_path.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["validate", str(record_path)]) == 1
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error: ")
+        assert stored in error_line and reproducibility_digest(record) in error_line
+
+    def test_compare_refuses_an_edited_record_exits_1(self, tmp_path, capsys):
+        store = DocumentStore(tmp_path / "studies")
+        record = minimal_record()
+        store.save(record)
+        record["metrics"][0]["classification"]["auc"] = 0.5
+        (store.records_dir / f"{record['study_id']}.json").write_text(
+            json.dumps(record), encoding="utf-8")
+        assert main(["compare", record["study_id"], "sens_max",
+                     "--store", str(tmp_path / "studies")]) == 1
+        assert record["reproducibility_digest"] in capsys.readouterr().err
 
     def test_compare_unknown_metric_exits_2(self, tmp_path):
         store = DocumentStore(tmp_path / "studies")

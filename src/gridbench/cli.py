@@ -6,8 +6,9 @@ Subcommands: ``run <config>``, ``compare <study_id> <metric>``,
 2 runtime error. Diagnostics go to stderr; machine output goes to files.
 The GRIDBENCH_STORE environment variable overrides the store root; the
 read commands (``compare``, ``report``, ``datasets list``) need an existing
-store and never create one. ``validate``, ``compare`` and ``report`` refuse
-a record whose ``reproducibility_digest`` does not match its content.
+store and never create one. ``validate``, ``compare``, ``report`` and
+``datasets list`` refuse a record whose ``reproducibility_digest`` does not
+match its content.
 """
 
 from __future__ import annotations

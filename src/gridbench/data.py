@@ -25,7 +25,7 @@ from .errors import (
     NonBinaryLabel,
     UnknownLabelColumn,
 )
-from .store import _STR, PURDUE_LEVEL_SCHEMA, _obj, _violations
+from .store import _INT, _NUMBER, _STR, PURDUE_LEVEL_SCHEMA, _fields, _obj, _violations
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -153,16 +153,27 @@ class SyntheticSpec:
     purdue_level: int | None = None
 
     def validate(self):
-        if self.n < 10:
-            raise InvalidSpec("synthetic spec needs n >= 10")
-        if not 0.0 < self.anomaly_fraction < 1.0:
-            raise InvalidSpec("anomaly_fraction must be in (0, 1)")
-        if self.class_separation < 0.0:
-            raise InvalidSpec("class_separation must be >= 0")
-        if self.d_numeric < 0 or self.d_categorical < 0 or self.d_numeric + self.d_categorical < 1:
+        """Raise InvalidSpec naming every ``SYNTHETIC_SPEC_SCHEMA`` violation,
+        else the first broken rule that spans fields."""
+        violations = _violations(SYNTHETIC_SPEC_SCHEMA, asdict(self))
+        if violations:
+            raise InvalidSpec(f"synthetic spec {self.name!r}: " + "; ".join(violations))
+        if self.d_numeric + self.d_categorical < 1:
             raise InvalidSpec("need at least one feature column")
         if self.d_categorical > 0 and self.categories_per_feature < 2:
             raise InvalidSpec("categorical features need >= 2 categories")
+
+
+# Every key, type and range of a synthetic spec; a study config's synthetic
+# dataset shares its properties.
+SYNTHETIC_SPEC_SCHEMA = _fields(
+    SyntheticSpec,
+    n={**_INT, "minimum": 10},
+    d_numeric={**_INT, "minimum": 0},
+    d_categorical={**_INT, "minimum": 0},
+    anomaly_fraction={**_NUMBER, "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    class_separation={**_NUMBER, "minimum": 0},
+    purdue_level=PURDUE_LEVEL_SCHEMA)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:

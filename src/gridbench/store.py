@@ -14,7 +14,7 @@ import os
 import platform
 import uuid
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,6 +22,8 @@ import jsonschema
 
 from .canonical import canonical_json, sha256_hex
 from .errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation
+from .metrics import ClassificationMetrics, ExplanationMetrics, RobustnessMetrics
+from .stats import EFFECT_SIZE_BUCKETS, BootstrapInterval, ComparisonResult
 
 SCHEMA_VERSION = "1"
 
@@ -42,6 +44,18 @@ _INT = {"type": "integer"}
 _STR = {"type": "string"}
 _BOOL = {"type": "boolean"}
 
+# The JSON Schema of each annotation of a dataclass field or default's type.
+_TYPED = {
+    "int": _INT,
+    "float": _NUMBER,
+    "str": _STR,
+    "bool": _BOOL,
+    "int | None": {"type": ["integer", "null"]},
+    "float | None": {"type": ["number", "null"]},
+    "str | None": {"type": ["string", "null"]},
+    "list[float]": {"type": "array", "items": _NUMBER},
+}
+
 
 def _obj(properties: dict, required: list[str] | None = None) -> dict:
     return {
@@ -50,6 +64,13 @@ def _obj(properties: dict, required: list[str] | None = None) -> dict:
         "required": sorted(properties) if required is None else required,
         "additionalProperties": False,
     }
+
+
+def _fields(cls, **special) -> dict:
+    """The closed object of dataclass ``cls``'s fields, each typed from its
+    annotation unless ``special`` gives its schema; ``special`` may add keys."""
+    return _obj({**{f.name: _TYPED[f.type] for f in fields(cls)
+                    if f.name not in special}, **special})
 
 
 # The JSON types as canonical JSON writes them: an integer has no fraction
@@ -63,28 +84,13 @@ _Validator = jsonschema.validators.extend(
     }))
 
 
-_CLASSIFICATION = _obj({
-    "false_positive_rate": _NUMBER,
-    "auc": _NUMBER,
-    "balanced_accuracy": _NUMBER,
-    "mcc": _NUMBER,
-    "confusion": _obj({"tp": _INT, "fp": _INT, "tn": _INT, "fn": _INT}),
-})
-
-_EXPLANATION = _obj({
-    "explanation_error": _NUMBER,
-    "sens_max": _NUMBER,
-    "sens_radius": _NUMBER,
-    "auc_morf": _NUMBER,
-    "morf_features_evaluated": _INT,
-})
-
-_ROBUSTNESS = _obj({
-    "delta_adv": {"type": "array", "items": _NUMBER},
-    "mean_delta_adv": {"type": ["number", "null"]},
-    "lipschitz_lower": _NUMBER,
-    "pairs_evaluated": _INT,
-})
+# Each record section that ``asdict`` of a dataclass fills has that
+# dataclass's fields as its keys.
+_CLASSIFICATION = _fields(
+    ClassificationMetrics,
+    confusion=_obj({"tp": _INT, "fp": _INT, "tn": _INT, "fn": _INT}))
+_EXPLANATION = _fields(ExplanationMetrics)
+_ROBUSTNESS = _fields(RobustnessMetrics)
 
 _TIMINGS = _obj({
     "train_time": _NUMBER,
@@ -101,31 +107,21 @@ _WILCOXON = _obj({
     "method": {"enum": ["exact", "normal_approximation", None]},
 })
 
-_BOOTSTRAP = _obj({
-    "low": _NUMBER,
-    "high": _NUMBER,
-    "level": _NUMBER,
-    "n_resamples": _INT,
-    "method": {"enum": ["bca", "percentile", "degenerate"]},
-    "seed": _INT,
-})
+_BOOTSTRAP = _fields(BootstrapInterval,
+                     method={"enum": ["bca", "percentile", "degenerate"]})
 
-_COMPARISON = _obj({
-    "metric_name": _STR,
-    "point_estimate": _NUMBER,
-    "a_values": {"type": "array", "items": _NUMBER},
-    "b_values": {"type": "array", "items": _NUMBER},
-    "wilcoxon": _WILCOXON,
-    "wilcoxon_incomputable": {"type": ["string", "null"]},
-    "cohens_d": {"type": ["number", "null"]},
-    "cohens_d_incomputable": {"type": ["string", "null"]},
-    "effect_label": {"enum": ["small", "medium", "large", None]},
-    "effect_size_buckets": _obj({"small_max": _NUMBER, "medium_max": _NUMBER}),
-    "bootstrap_ci": _BOOTSTRAP,
-})
+_COMPARISON = _fields(
+    ComparisonResult,
+    wilcoxon=_WILCOXON,
+    effect_label={"enum": ["small", "medium", "large", None]},
+    bootstrap_ci=_BOOTSTRAP,
+    a_values=_TYPED["list[float]"],
+    b_values=_TYPED["list[float]"],
+    effect_size_buckets=_obj(dict.fromkeys(EFFECT_SIZE_BUCKETS, _NUMBER)))
 
 # Record pieces that a study config shares: ``study.STUDY_CONFIG_SCHEMA``
-# makes their keys optional and adds ranges.
+# makes their keys optional and adds ranges. The preprocessing keys stay
+# written out: ``preprocess`` imports this module (through ``data``).
 PREPROCESSING_CONFIG_SCHEMA = _obj({
     "use_onehot": _BOOL,
     "use_minmax": _BOOL,
@@ -133,24 +129,37 @@ PREPROCESSING_CONFIG_SCHEMA = _obj({
     "pca_components": {"type": ["integer", "null"]},
 })
 
-METRICS_CONFIG_SCHEMA = _obj({
-    "statistics": _BOOL,
-    "sens_radius": _NUMBER,
-    "morf_k": _INT,
-    "n_probes": _INT,
-    "explain_instances": _INT,
-    "robustness_instances": _INT,
-    "n_random_dirs": _INT,
-    "lipschitz_max_pairs": _INT,
-    "bootstrap_resamples": _INT,
-    "confidence_level": _NUMBER,
-})
+METRICS_DEFAULTS = {
+    "statistics": True,
+    "sens_radius": 0.01,
+    "morf_k": 5,
+    "n_probes": 8,
+    "explain_instances": 12,
+    "robustness_instances": 8,
+    "n_random_dirs": 4,
+    "lipschitz_max_pairs": 2000,
+    "bootstrap_resamples": 5000,
+    "confidence_level": 0.95,
+}
+
+METRICS_CONFIG_SCHEMA = _obj({key: _TYPED[type(default).__name__]
+                              for key, default in METRICS_DEFAULTS.items()})
 
 EXPLAINER_KIND_SCHEMA = {"enum": ["blackbox", "basic_join"]}
 EXPLAINER_MODE_SCHEMA = {"enum": ["auto", "exact", "sampled"]}
 # A dataset's Purdue-model level as a config or a manifest gives it; the
 # record keeps its own, unbounded type, which the pinned schema hash covers.
 PURDUE_LEVEL_SCHEMA = {"type": ["integer", "null"], "minimum": 0, "maximum": 5}
+
+
+@dataclass(frozen=True)
+class EnvironmentInfo:
+    cpu_model: str
+    logical_cores: int
+    ram_bytes: int
+    os: str
+    artifact_version: str
+
 
 STUDY_RECORD_SCHEMA = _obj({
     "study_id": _STR,
@@ -208,13 +217,7 @@ STUDY_RECORD_SCHEMA = _obj({
         "timings": _TIMINGS,
     })},
     "comparison": {"type": "array", "items": _COMPARISON},
-    "environment": _obj({
-        "cpu_model": _STR,
-        "logical_cores": _INT,
-        "ram_bytes": _INT,
-        "os": _STR,
-        "artifact_version": _STR,
-    }),
+    "environment": _fields(EnvironmentInfo),
     "timings": _obj({"total_seconds": _NUMBER}),
     "reproducibility_digest": _STR,
 })
@@ -242,15 +245,6 @@ COMPARED_METRICS = (
 # reported result) but never enter the digest.
 TIMING_METRIC_NAMES = tuple(name for family, name in COMPARED_METRICS
                             if family == "timings")
-
-
-@dataclass(frozen=True)
-class EnvironmentInfo:
-    cpu_model: str
-    logical_cores: int
-    ram_bytes: int
-    os: str
-    artifact_version: str
 
 
 def _read_cpu_model() -> str:
@@ -380,17 +374,6 @@ class DocumentStore:
         self._atomic_write(path, canonical_json(record).encode("utf-8"))
         return study_id
 
-    @staticmethod
-    def _summary(record: dict) -> dict:
-        return {
-            "study_id": record["study_id"],
-            "created_at": record["created_at"],
-            "dataset_names": [d["name"] for d in record.get("datasets", [])],
-            "dataset_hashes": [d["content_hash"] for d in record.get("datasets", [])],
-            "model_kinds": sorted({m["kind"] for m in record.get("models", [])}),
-            "reproducibility_digest": record.get("reproducibility_digest", ""),
-        }
-
     def load_bytes(self, study_id: str) -> bytes:
         path = self.records_dir / f"{study_id}.json"
         if not path.is_file():
@@ -403,27 +386,24 @@ class DocumentStore:
         check_digest(record)
         return record
 
-    def query(self, dataset_name: str | None = None, model_kind: str | None = None,
-              date_range: tuple[str, str] | None = None) -> list[dict]:
-        """Summaries of the records matching every given filter; never mutates.
+    def query(self) -> list[dict]:
+        """A summary of every record, oldest first; never mutates.
 
-        Reads every record file; files that do not parse (such as a partial
-        copy) are skipped, and a writer's stranded ``*.json.tmp`` never
-        matches.
+        Each record file is read through ``load``, so one whose digest does
+        not match its content raises DigestMismatch. Files that do not parse
+        (such as a partial copy) are skipped, and a writer's stranded
+        ``*.json.tmp`` never matches.
         """
         out = []
         for path in self.records_dir.glob("*.json"):
             try:
-                summary = self._summary(json.loads(path.read_text(encoding="utf-8")))
+                record = self.load(path.stem)
             except ValueError:
                 continue
-            if dataset_name is not None and dataset_name not in summary["dataset_names"]:
-                continue
-            if model_kind is not None and model_kind not in summary["model_kinds"]:
-                continue
-            if date_range is not None:
-                lo, hi = date_range
-                if not lo <= summary["created_at"] <= hi:
-                    continue
-            out.append(summary)
+            out.append({
+                "study_id": record["study_id"],
+                "created_at": record["created_at"],
+                "dataset_names": [d["name"] for d in record.get("datasets", [])],
+                "dataset_hashes": [d["content_hash"] for d in record.get("datasets", [])],
+            })
         return sorted(out, key=lambda s: (s["created_at"], s["study_id"]))

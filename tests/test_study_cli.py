@@ -662,6 +662,21 @@ class TestCli:
                        if line.startswith("error:")]
         assert error_lines and key in error_lines[0]
 
+    def test_synthetic_range_mistakes_exit_1_with_pointers(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
+        config = tiny_config()
+        config["datasets"][0]["n"] = 5
+        config["datasets"][1]["anomaly_fraction"] = 1.5
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(config_path)]) == 1
+        error_lines = [line for line in capsys.readouterr().err.splitlines()
+                       if line.startswith("error:")]
+        assert len(error_lines) == 1
+        assert "/datasets/0/n: " in error_lines[0]
+        assert "/datasets/1/anomaly_fraction: " in error_lines[0]
+
     def test_validate_fixture_exits_0(self, tmp_path):
         record_path = tmp_path / "record.json"
         record_path.write_text(json.dumps(minimal_record()), encoding="utf-8")
@@ -704,6 +719,20 @@ class TestCli:
         assert main(["compare", record["study_id"], "sens_max",
                      "--store", str(tmp_path / "studies")]) == 1
         assert record["reproducibility_digest"] in capsys.readouterr().err
+
+    def test_datasets_list_refuses_an_edited_record_exits_1(self, tmp_path, capsys):
+        store = DocumentStore(tmp_path / "studies")
+        record = minimal_record()
+        store.save(record)
+        record["datasets"][0]["name"] = "renamed"
+        (store.records_dir / f"{record['study_id']}.json").write_text(
+            json.dumps(record), encoding="utf-8")
+        assert main(["datasets", "list", str(tmp_path / "studies")]) == 1
+        captured = capsys.readouterr()
+        assert "renamed" not in captured.out
+        error_line = captured.err.splitlines()[0]
+        assert error_line.startswith("error: ")
+        assert record["reproducibility_digest"] in error_line
 
     def test_compare_unknown_metric_exits_2(self, tmp_path):
         store = DocumentStore(tmp_path / "studies")

@@ -7,8 +7,8 @@ Subcommands: ``run <config>``, ``compare <study_id> <metric>``,
 The GRIDBENCH_STORE environment variable overrides the store root; the
 read commands (``compare``, ``report``, ``datasets list``) need an existing
 store and never create one. ``validate``, ``compare``, ``report`` and
-``datasets list`` refuse a record whose ``reproducibility_digest`` does not
-match its content.
+``datasets list`` refuse a record that is not a JSON object or whose
+``reproducibility_digest`` does not match its content.
 """
 
 from __future__ import annotations

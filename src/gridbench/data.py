@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -244,7 +245,8 @@ MANIFEST_SCHEMA = _obj({
 
 
 def _read_manifest(manifest_path) -> dict:
-    """The manifest at ``manifest_path``, checked against ``MANIFEST_SCHEMA``."""
+    """The manifest at ``manifest_path``, checked against ``MANIFEST_SCHEMA``;
+    its ``name`` defaults to the CSV file's stem."""
     path = Path(manifest_path)
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
@@ -255,6 +257,7 @@ def _read_manifest(manifest_path) -> dict:
     violations = _violations(MANIFEST_SCHEMA, manifest)
     if violations:
         raise MalformedManifest(f"manifest {path}: " + "; ".join(violations))
+    manifest.setdefault("name", Path(manifest["csv_path"]).stem)
     return manifest
 
 
@@ -262,104 +265,76 @@ def load_csv(manifest_path) -> Dataset:
     """Load a dataset described by a JSON manifest (``MANIFEST_SCHEMA``).
 
     A relative csv_path resolves against the manifest. The CSV needs a
-    header row. Rows with any missing cell are dropped; the drop count lands
+    header row. A row is dropped when its length differs from the header's
+    or a used cell is empty, unparsable or non-finite; the drop count lands
     in ``metadata``.
     """
     manifest = _read_manifest(manifest_path)
-    base = Path(manifest_path).parent
-    csv_path = Path(manifest["csv_path"])
-    if not csv_path.is_absolute():
-        csv_path = base / csv_path
+    csv_path = Path(manifest_path).parent / manifest["csv_path"]
     if not csv_path.is_file():
         raise MissingFile(f"CSV not found: {csv_path}")
-
-    with open(csv_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedManifest(f"CSV {csv_path} is empty") from None
-        rows = list(reader)
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            lines = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedManifest(f"CSV {csv_path} cannot be read: {exc}") from exc
+    if not lines:
+        raise MalformedManifest(f"CSV {csv_path} is empty")
+    header, *body = lines
 
     label_column = manifest["label_column"]
     if label_column not in header:
         raise UnknownLabelColumn(f"label column {label_column!r} not in CSV header")
-    label_idx = header.index(label_column)
-
-    column_specs = manifest["columns"]
-    feature_names = [c["name"] for c in column_specs]
-    for name in feature_names:
+    columns = [(c["name"], c["kind"]) for c in manifest["columns"]]
+    for name, _ in columns:
         if name not in header:
             raise MalformedManifest(f"manifest column {name!r} not in CSV header")
-    if label_column in feature_names:
+    if label_column in dict(columns):
         raise MalformedManifest("label column must not be listed among feature columns")
-    col_idx = [header.index(name) for name in feature_names]
-    kinds = [c["kind"] for c in column_specs]
+    # the label is read last, as a categorical cell
+    used = [(header.index(name), kind) for name, kind in columns]
+    used.append((header.index(label_column), CATEGORICAL))
 
-    positive = {str(v) for v in manifest["positive_label_values"]}
-    declared_negative = manifest.get("negative_label_values")
-    negative = None if declared_negative is None else {str(v) for v in declared_negative}
-
-    kept_cells: list[list] = []
-    raw_labels: list[str] = []
-    dropped = 0
-    for row in rows:
-        if len(row) != len(header) or any(row[i].strip() == "" for i in col_idx + [label_idx]):
-            dropped += 1
+    rows, raw_labels = [], []
+    for row in body:
+        try:  # float() refuses an unparsable numeric cell, so it is dropped too
+            *cells, raw = [float(row[i]) if kind == NUMERIC else row[i] for i, kind in used]
+            if len(row) != len(header) or not all(
+                    math.isfinite(c) if isinstance(c, float) else c.strip()
+                    for c in (*cells, raw)):
+                raise ValueError("a short row, or an empty or non-finite cell")
+        except (IndexError, ValueError):
             continue
-        cells = []
-        try:
-            for i, kind in zip(col_idx, kinds):
-                cells.append(float(row[i]) if kind == NUMERIC else row[i])
-        except ValueError:
-            # unparsable numeric cell counts as a missing value
-            dropped += 1
-            continue
-        kept_cells.append(cells)
-        raw_labels.append(row[label_idx].strip())
-
-    if not kept_cells:
+        rows.append(cells)
+        raw_labels.append(raw.strip())
+    if not rows:
         raise MalformedManifest(f"no usable rows in {csv_path}")
 
-    # Without an explicit normal set, binary-ness requires the non-anomaly
-    # remainder to be a single distinct value.
+    positive = {str(v) for v in manifest["positive_label_values"]}
+    others = list(dict.fromkeys(raw for raw in raw_labels if raw not in positive))
+    negative = manifest.get("negative_label_values")
     if negative is None:
-        others = sorted({raw for raw in raw_labels if raw not in positive})
+        # without a declared normal set, the non-anomaly remainder must be one value
         if len(others) > 1:
             raise NonBinaryLabel(
-                f"label column has multiple non-anomaly values {others}; "
+                f"label column has multiple non-anomaly values {sorted(others)}; "
                 "declare negative_label_values in the manifest")
-        kept_labels = [1 if raw in positive else 0 for raw in raw_labels]
     else:
-        kept_labels = []
-        for raw in raw_labels:
-            if raw in positive:
-                kept_labels.append(1)
-            elif raw in negative:
-                kept_labels.append(0)
-            else:
-                raise NonBinaryLabel(f"label value {raw!r} outside declared label sets")
+        outside = [raw for raw in others if raw not in {str(v) for v in negative}]
+        if outside:
+            raise NonBinaryLabel(f"label value {outside[0]!r} outside declared label sets")
 
-    features = np.empty((len(kept_cells), len(feature_names)), dtype=object)
-    for i, cells in enumerate(kept_cells):
-        for j, value in enumerate(cells):
-            features[i, j] = value
-
-    descriptors = []
-    for j, (name, kind) in enumerate(zip(feature_names, kinds)):
-        if kind == CATEGORICAL:
-            descriptors.append(FeatureDescriptor(
-                name, CATEGORICAL, tuple(dict.fromkeys(features[:, j]))))
-        else:
-            descriptors.append(FeatureDescriptor(name, NUMERIC))
-
+    features = np.array(rows, dtype=object)
     return Dataset(
-        name=manifest.get("name", csv_path.stem),
+        name=manifest["name"],
         features=features,
-        labels=np.array(kept_labels, dtype=np.int64),
-        descriptors=tuple(descriptors),
+        labels=np.array([int(raw in positive) for raw in raw_labels], dtype=np.int64),
+        descriptors=tuple(
+            FeatureDescriptor(name, kind, tuple(dict.fromkeys(features[:, j]))
+                              if kind == CATEGORICAL else ())
+            for j, (name, kind) in enumerate(columns)),
         purdue_level=manifest.get("purdue_level"),
-        metadata={"source_csv": str(csv_path), "dropped_rows": dropped,
+        metadata={"source_csv": str(csv_path), "dropped_rows": len(body) - len(rows),
                   "manifest": str(Path(manifest_path))},
     )
 

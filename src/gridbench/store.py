@@ -21,7 +21,7 @@ from pathlib import Path
 import jsonschema
 
 from .canonical import canonical_json, sha256_hex
-from .errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation
+from .errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation, ValidationError
 from .metrics import ClassificationMetrics, ExplanationMetrics, RobustnessMetrics
 from .stats import EFFECT_SIZE_BUCKETS, BootstrapInterval, ComparisonResult
 
@@ -381,8 +381,11 @@ class DocumentStore:
         return path.read_bytes()
 
     def load(self, study_id: str) -> dict:
-        """The record, after checking its digest against its content."""
+        """The record, after checking that it is a JSON object and that its
+        digest matches its content."""
         record = json.loads(self.load_bytes(study_id).decode("utf-8"))
+        if not isinstance(record, dict):
+            raise ValidationError(f"record {study_id!r} in {self.root} is not a JSON object")
         check_digest(record)
         return record
 

@@ -4,10 +4,11 @@ A study config is one JSON document (see ``STUDY_CONFIG_SCHEMA``). Execution is
 all-or-nothing: every dataset/algorithm cell is computed in memory and the
 record is saved only when the whole study succeeded. Every random choice
 derives from the master seed via ``seeding.derive_seed``. A study runs in
-three phases: every dataset is built, split and preprocessed in the calling
-process; every distinct (dataset, model spec) is trained in forked worker
-processes; then, once the workers have exited, every dataset is scored,
-explained and probed one after another on the calling thread.
+three phases: once every manifest is read and every dataset name checked,
+every dataset is built, split and preprocessed in the calling process;
+every distinct (dataset, model spec) is trained in forked worker processes;
+then, once the workers have exited, every dataset is scored, explained and
+probed one after another on the calling thread.
 
 Model-training seeds are labeled with a digest of the model spec rather
 than the algorithm slot. Two slots configured with the same model share
@@ -255,21 +256,6 @@ def _prepare_dataset(index: int, entry: dict, config: dict,
                      apply_pipeline(pipeline, pair.test))
 
 
-def _check_loaded_names(entries: list[dict], prepared: list[_Prepared]):
-    """A manifest names its dataset itself, so the loaded names are checked too."""
-    loaded = {}
-    for i, (entry, prep) in enumerate(zip(entries, prepared)):
-        name = prep.ds.name
-        _require(entry.get("name", name) == name,
-                 f"datasets[{i}] is named {entry.get('name')!r} in the config "
-                 f"but loads as {name!r}; drop its config name or make the "
-                 f"two agree")
-        _require(name not in loaded,
-                 f"datasets[{loaded.get(name)}] and datasets[{i}] both load "
-                 f"as {name!r}; dataset names must be unique")
-        loaded[name] = i
-
-
 def _one_blas_thread():
     """Training-pool initializer: cap the worker's BLAS at one thread.
 
@@ -488,15 +474,16 @@ def _comparison_block(config: dict, metric_entries: list[dict],
 def run_study(config: dict, base_dir=".", output_base=None) -> dict:
     """Execute a validated study config end-to-end; returns the saved record.
 
-    Every manifest is read and checked before any dataset is built; every
-    dataset is built, split and preprocessed (the pipeline is fit on train)
-    and the loaded names are checked before any training. Each
-    distinct model spec is trained once per dataset in forked worker
-    processes; then every enabled metric is computed on test in the calling
-    process. Cross-dataset statistics run afterwards; the record is saved
-    atomically and reports are rendered from the record alone. Relative
-    manifest paths resolve against ``base_dir`` (the config's home);
-    relative output paths against ``output_base`` (defaults to ``base_dir``).
+    Every manifest is read and checked, and every dataset's name settled
+    (unique, and agreeing with its config name), before any dataset is
+    built; then every dataset is built, split and preprocessed (the
+    pipeline is fit on train) before any training. Each distinct model spec
+    is trained once per dataset in forked worker processes; then every
+    enabled metric is computed on test in the calling process. Cross-dataset
+    statistics run afterwards; the record is saved atomically and reports
+    are rendered from the record alone. Relative manifest paths resolve
+    against ``base_dir`` (the config's home); relative output paths against
+    ``output_base`` (defaults to ``base_dir``).
     """
     config = validate_config(config)
     base_dir = Path(base_dir)
@@ -504,15 +491,23 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
 
     started = time.perf_counter()
     entries = config["datasets"]
-    for i, entry in enumerate(entries):  # every manifest, before any dataset is built
-        if entry["type"] == "manifest":
-            with _noted(_dataset_note(i, entry)):
-                _read_manifest(base_dir / entry["path"])
+    loaded = {}  # dataset name -> index; every name, before any dataset is built
+    for i, entry in enumerate(entries):
+        with _noted(_dataset_note(i, entry)):
+            name = (entry["name"] if entry["type"] == "synthetic"
+                    else _read_manifest(base_dir / entry["path"])["name"])
+            _require(entry.get("name", name) == name,
+                     f"datasets[{i}] is named {entry.get('name')!r} in the config "
+                     f"but loads as {name!r}; drop its config name or make the "
+                     f"two agree")
+            _require(name not in loaded,
+                     f"datasets[{loaded.get(name)}] and datasets[{i}] both load "
+                     f"as {name!r}; dataset names must be unique")
+        loaded[name] = i
     prepared = []
     for i, entry in enumerate(entries):
         with _noted(_dataset_note(i, entry)):
             prepared.append(_prepare_dataset(i, entry, config, base_dir))
-    _check_loaded_names(entries, prepared)
     fits = _train_models(config, prepared)
     results = []
     for i, entry in enumerate(entries):

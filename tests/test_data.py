@@ -72,10 +72,27 @@ class TestLoadCsv:
         assert [d.kind for d in ds.descriptors] == ["numeric", "categorical"]
         assert ds.descriptors[1].categories == ("tcp", "udp")
 
-    def test_missing_cell_drops_row_and_counts_it(self, tmp_path):
-        ds = load_csv(_write_manifest(tmp_path, CSV_MISSING))
+    @pytest.mark.parametrize("non_finite", [None, "nan", "inf", "-Infinity"],
+                             ids=["empty_only", "nan", "inf", "-Infinity"])
+    def test_missing_cell_drops_row_and_counts_it(self, tmp_path, non_finite):
+        # a non-finite numeric cell counts as a missing one
+        extra = "" if non_finite is None else f"{non_finite},udp,attack\n"
+        ds = load_csv(_write_manifest(tmp_path, CSV_MISSING + extra))
         assert ds.n_rows == 3
-        assert ds.metadata["dropped_rows"] == 1
+        assert ds.metadata["dropped_rows"] == 1 + (non_finite is not None)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"duration,proto,label\n1.0,tcp,caf\xe9\n", "cannot be read: 'utf-8' codec"),
+        (b"duration,proto,label\n1.0," + b"x" * 200_000 + b",normal\n",
+         "cannot be read: field larger than field limit"),
+        (b"", "is empty"),
+    ], ids=["latin1_byte", "oversized_field", "empty_file"])
+    def test_unreadable_csv_is_a_malformed_manifest(self, tmp_path, content, message):
+        path = _write_manifest(tmp_path, CSV_OK)
+        (tmp_path / "data.csv").write_bytes(content)
+        with pytest.raises(MalformedManifest, match=re.escape(message)) as exc:
+            load_csv(path)
+        assert str(tmp_path / "data.csv") in str(exc.value)
 
     def test_third_label_value_rejected(self, tmp_path):
         with pytest.raises(NonBinaryLabel):

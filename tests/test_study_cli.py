@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import ctypes
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridbench.models
 import gridbench.study
 from gridbench.cli import main
 from gridbench.errors import GridBenchError, InvalidConfig, SingleClassTrainingSet
@@ -343,6 +345,27 @@ class TestRunStudy:
         assert len(suites) == 2 and len(members) == 6
         assert {m: in_study[m] for m in members} == {m: rows[m] for m in members}
 
+    def test_perfbench_tracer_sees_the_layers_it_divides_by(self, tmp_path):
+        # perfbench/run.py's layer_metrics divides by these spans' counts
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        owners = [gridbench.study, gridbench.models, DocumentStore,
+                  *tracing.SCORED_CLASSES.values()]
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            assert gridbench.study._build_dataset is not before[0]["_build_dataset"]
+            run_study(tiny_config(), base_dir=tmp_path)
+        names = collections.Counter(span.name for span in tracer.spans)
+        assert names["data.build"] == 2
+        assert names["explain.call"] > 0 and names["metrics.robustness"] > 0
+        assert sum(span.score_calls for span in tracer.spans
+                   if span.name == "metrics.robustness") > 0
+        assert all(vars(owner).get(name) is value
+                   for owner, saved in zip(owners, before) for name, value in saved.items())
+
     def test_explanation_metrics_get_finite_statistics(self, study_dirs):
         _, record = study_dirs
         by_name = {c["metric_name"]: c for c in record["comparison"]}
@@ -519,6 +542,7 @@ class TestCli:
         # both CSVs are data.csv and neither manifest names its dataset
         write_manifest(tmp_path / "one", period=3)
         write_manifest(tmp_path / "two", period=4)
+        monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
         monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
         config = tiny_config()
         config["datasets"] = [{"type": "manifest", "path": "one/manifest.json"},
@@ -534,6 +558,7 @@ class TestCli:
     def test_manifest_loading_under_another_name_exits_1(self, tmp_path, capsys,
                                                          monkeypatch):
         write_manifest(tmp_path / "one")
+        monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
         monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
         config = tiny_config()
         config["datasets"][0] = {"type": "manifest", "path": "one/manifest.json",
@@ -581,6 +606,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: manifest ") and "/purdue_level: " in err
         assert "datasets[1] (one/manifest.json)" in err
+
+    def test_unreadable_csv_exits_1(self, tmp_path, capsys, monkeypatch):
+        write_manifest(tmp_path / "one")
+        (tmp_path / "one" / "data.csv").write_bytes(b"f1,f2,label\n1.0,2,caf\xe9\n")
+        config = tiny_config()
+        config["datasets"][1] = {"type": "manifest", "path": "one/manifest.json"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CSV ") and "data.csv cannot be read" in err
+        assert "datasets[1] (one/manifest.json)" in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
 
     def test_training_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
@@ -733,6 +772,16 @@ class TestCli:
         error_line = captured.err.splitlines()[0]
         assert error_line.startswith("error: ")
         assert record["reproducibility_digest"] in error_line
+
+    @pytest.mark.parametrize("command", [["datasets", "list", "{store}"],
+                                         ["compare", "x", "auc", "--store", "{store}"]],
+                             ids=["datasets_list", "compare"])
+    def test_record_that_is_not_an_object_exits_1(self, tmp_path, capsys, command):
+        store = DocumentStore(tmp_path / "studies")
+        (store.records_dir / "x.json").write_text("[]", encoding="utf-8")
+        assert main([arg.format(store=store.root) for arg in command]) == 1
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error: ") and "'x'" in error_line
 
     def test_compare_unknown_metric_exits_2(self, tmp_path):
         store = DocumentStore(tmp_path / "studies")

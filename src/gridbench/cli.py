@@ -7,8 +7,10 @@ Subcommands: ``run <config>``, ``compare <study_id> <metric>``,
 The GRIDBENCH_STORE environment variable overrides the store root; the
 read commands (``compare``, ``report``, ``datasets list``) need an existing
 store and never create one. ``validate``, ``compare``, ``report`` and
-``datasets list`` refuse a record that is not a JSON object or whose
-``reproducibility_digest`` does not match its content.
+``datasets list`` read a record through ``store.read_record``: each refuses
+a record that is not a JSON object, breaks the record schema or whose
+``reproducibility_digest`` does not match its content, and all but
+``datasets list``, which skips it, refuse a file that is not UTF-8 JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .errors import GridBenchError, ValidationError
 from .report import comparison_text, write_reports
-from .store import DocumentStore, check_digest, validate
+from .store import DocumentStore, read_record
 from .study import run_study
 
 
@@ -87,16 +89,7 @@ def _cmd_validate(args) -> int:
     path = Path(args.record)
     if not path.is_file():
         raise ValidationError(f"record file not found: {path}")
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    violations = validate(document)
-    if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        raise ValidationError(f"{len(violations)} schema violation(s)")
-    check_digest(document)
+    read_record(path.read_bytes(), str(path))
     print(f"{path} is a valid study record", file=sys.stderr)
     return 0
 

@@ -120,6 +120,10 @@ class SchemaViolation(ValidationError):
         return type(self), (self.violations,), self.__dict__
 
 
+class UnreadableRecord(ValidationError):
+    """A record file is not UTF-8 JSON."""
+
+
 class DigestMismatch(ValidationError):
     """A record's reproducibility_digest is not the digest of its content."""
 

@@ -3,7 +3,8 @@
 Documents are canonical JSON (sorted keys, 17-significant-digit floats) so
 reloading and re-serializing a record is byte-identical. The schema is
 closed: unknown fields are violations, which keeps silent drift impossible.
-``DocumentStore.load`` recomputes a record's digest and refuses a mismatch.
+Every reader goes through ``read_record``, which refuses a record that does
+not parse, breaks the schema or whose digest does not match its content.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from pathlib import Path
 import jsonschema
 
 from .canonical import canonical_json, sha256_hex
-from .errors import DigestMismatch, GridBenchError, NotFound, SchemaViolation, ValidationError
+from .errors import (
+    DigestMismatch,
+    GridBenchError,
+    NotFound,
+    SchemaViolation,
+    UnreadableRecord,
+    ValidationError,
+)
 from .metrics import ClassificationMetrics, ExplanationMetrics, RobustnessMetrics
 from .stats import EFFECT_SIZE_BUCKETS, BootstrapInterval, ComparisonResult
 
@@ -317,22 +325,32 @@ def validate(document: dict) -> list[str]:
 def reproducibility_digest(record: dict) -> str:
     """Hash over all seed/config/metric content (timings and host excluded)."""
     doc = {k: v for k, v in record.items() if k not in DIGEST_EXCLUDED_FIELDS}
-    if "metrics" in doc:
-        doc["metrics"] = [{k: v for k, v in entry.items() if k != "timings"}
-                          for entry in doc["metrics"]]
-    if "comparison" in doc:
-        doc["comparison"] = [c for c in doc["comparison"]
-                             if c.get("metric_name") not in TIMING_METRIC_NAMES]
+    doc["metrics"] = [{k: v for k, v in entry.items() if k != "timings"}
+                      for entry in doc["metrics"]]
+    doc["comparison"] = [c for c in doc["comparison"]
+                         if c["metric_name"] not in TIMING_METRIC_NAMES]
     return sha256_hex(canonical_json(doc))
 
 
-def check_digest(record: dict):
-    """Raise DigestMismatch unless the record's ``reproducibility_digest``
-    is the digest of its content, as it is when the run saved it."""
-    stored, computed = record.get("reproducibility_digest"), reproducibility_digest(record)
+def read_record(data: bytes, name: str) -> dict:
+    """The study record in ``data``: UTF-8 JSON (else UnreadableRecord), an
+    object meeting the record schema, and a digest matching its content as
+    when the run saved it (else DigestMismatch). Errors name it ``name``."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise UnreadableRecord(f"record {name} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError(f"record {name} is not a JSON object")
+    violations = validate(record)
+    if violations:
+        raise ValidationError(f"record {name} breaks the record schema: "
+                              + "; ".join(violations))
+    stored, computed = record["reproducibility_digest"], reproducibility_digest(record)
     if stored != computed:
-        raise DigestMismatch(f"reproducibility_digest {stored} does not match "
-                             f"the record's content, whose digest is {computed}")
+        raise DigestMismatch(f"record {name}: reproducibility_digest {stored} does not "
+                             f"match the record's content, whose digest is {computed}")
+    return record
 
 
 class DocumentStore:
@@ -381,27 +399,22 @@ class DocumentStore:
         return path.read_bytes()
 
     def load(self, study_id: str) -> dict:
-        """The record, after checking that it is a JSON object and that its
-        digest matches its content."""
-        record = json.loads(self.load_bytes(study_id).decode("utf-8"))
-        if not isinstance(record, dict):
-            raise ValidationError(f"record {study_id!r} in {self.root} is not a JSON object")
-        check_digest(record)
-        return record
+        """The record, checked by ``read_record``."""
+        return read_record(self.load_bytes(study_id), f"{study_id!r} in {self.root}")
 
     def query(self) -> list[dict]:
         """A summary of every record, oldest first; never mutates.
 
-        Each record file is read through ``load``, so one whose digest does
-        not match its content raises DigestMismatch. Files that do not parse
-        (such as a partial copy) are skipped, and a writer's stranded
-        ``*.json.tmp`` never matches.
+        Each record file is read through ``load``, so one that breaks the
+        schema or whose digest does not match its content raises. Files that
+        do not parse (such as a partial copy) are skipped, and a writer's
+        stranded ``*.json.tmp`` never matches.
         """
         out = []
         for path in self.records_dir.glob("*.json"):
             try:
                 record = self.load(path.stem)
-            except ValueError:
+            except UnreadableRecord:
                 continue
             out.append({
                 "study_id": record["study_id"],

@@ -11,10 +11,12 @@ then, once the workers have exited, every dataset is scored, explained and
 probed one after another on the calling thread.
 
 Model-training seeds are labeled with a digest of the model spec rather
-than the algorithm slot. Two slots configured with the same model share
-one fit per dataset, with its test scores, classification metrics,
-robustness metrics and timings, which isolates explainer differences
-exactly as in a same-ensembles case study.
+than the algorithm slot. ``_shared_work`` states which work the two slots
+share: slots with the same model spec share one fit per dataset, with its
+test scores, classification metrics, robustness metrics and timings, which
+isolates explainer differences exactly as in a same-ensembles case study;
+slots that also explain against the same background size, mode and
+``n_samples`` share one explanation pass.
 """
 
 from __future__ import annotations
@@ -193,8 +195,19 @@ def validate_config(config: dict) -> dict:
     }
 
 
-def _model_digest(model_spec: dict) -> str:
-    return sha256_hex(canonical_json(model_spec))[:16]
+def _shared_work(config: dict) -> tuple[dict, dict]:
+    """The study's distinct fits, ``{model digest: slot keys}``, and passes,
+    ``{(model digest, background_size, mode, n_samples): slot keys}``, each
+    in slot order; with two slots, the passes' slot keys in turn are the
+    slots in order. Each fit and each pass serves every dataset."""
+    fits, passes = {}, {}
+    for slot_key, _ in SLOTS:
+        algo = config[slot_key]
+        digest = sha256_hex(canonical_json(algo["model"]))[:16]
+        fits.setdefault(digest, []).append(slot_key)
+        passes.setdefault((digest, algo["background_size"], algo["mode"],
+                           algo["n_samples"]), []).append(slot_key)
+    return fits, passes
 
 
 def _build_dataset(entry: dict, index: int, master_seed: int,
@@ -216,13 +229,12 @@ def _train_algorithm(model_spec: dict, X, y, seed: int):
 
 @contextmanager
 def _noted(*notes: str):
-    """Add ``notes`` to any exception raised in the block (Python 3.11+)."""
+    """Add ``notes`` to any exception raised in the block."""
     try:
         yield
     except Exception as exc:
-        if hasattr(exc, "add_note"):
-            for note in notes:
-                exc.add_note(note)
+        for note in notes:
+            exc.add_note(note)
         raise
 
 
@@ -283,46 +295,43 @@ def _timed_train(model_spec: dict, X, y, seed: int):
 
 
 def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
-    """Train every distinct (dataset index, model digest) once, in parallel.
+    """Train each of ``_shared_work``'s fits once per dataset, in parallel.
 
     The workers are forked, so they inherit the calling process's modules
     as they are (patched names included) and start without re-importing.
     A fork copies only the calling thread, so a caller must not run other
     threads that could hold a lock the workers need. Returns
     ``{(index, digest): (model, train_time)}``. A worker's error is
-    re-raised here with the notes of its dataset and of the first slot that
-    names the model; jobs not yet started are cancelled.
+    re-raised here with the notes of the first slot that names the model
+    and of its dataset; jobs not yet started are cancelled.
     """
     # Imported here: the pool modules add to every ``import gridbench``.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     master = config["master_seed"]
-    owners = {}  # model digest -> first slot naming it
-    for slot_key, _ in SLOTS:
-        owners.setdefault(_model_digest(config[slot_key]["model"]), slot_key)
-    jobs = [(i, digest, slot_key) for i in range(len(prepared))
-            for digest, slot_key in owners.items()]
+    fits, _ = _shared_work(config)
+    jobs = [(i, digest) for i in range(len(prepared)) for digest in fits]
     pool = ProcessPoolExecutor(min(os.cpu_count() or 1, len(jobs)),
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_one_blas_thread)
     try:
-        futures = [pool.submit(_timed_train, config[slot_key]["model"],
+        futures = [pool.submit(_timed_train, config[fits[digest][0]]["model"],
                                prepared[i].X_train, prepared[i].pair.train.labels,
                                derive_seed(master, f"train:{digest}", i))
-                   for i, digest, slot_key in jobs]
-        fits = {}
-        for (i, digest, slot_key), future in zip(jobs, futures):
-            with _noted(_dataset_note(i, config["datasets"][i])), \
-                    _noted(_slot_note(slot_key, config)):
-                fits[i, digest] = future.result()
-        return fits
+                   for i, digest in jobs]
+        trained = {}
+        for (i, digest), future in zip(jobs, futures):
+            with _noted(_slot_note(fits[digest][0], config),
+                        _dataset_note(i, config["datasets"][i])):
+                trained[i, digest] = future.result()
+        return trained
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
-                      fits: dict) -> dict:
+                      trained: dict) -> dict:
     master = config["master_seed"]
     ds, pair, pipeline, X_train, X_test = prep
     y_test = pair.test.labels
@@ -360,20 +369,15 @@ def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
         "metrics": [],
     }
 
-    passes = {}  # (digest, background_size, mode, n_samples) -> slot keys
-    evaluated = {}  # model digest -> (predict_time, cls, robust)
-    for slot_key, _ in SLOTS:
-        algo = config[slot_key]
-        digest = _model_digest(algo["model"])
-        passes.setdefault((digest, algo["background_size"], algo["mode"],
-                           algo["n_samples"]), []).append(slot_key)
-        if digest in evaluated:
-            continue
-        with _noted(_slot_note(slot_key, config)):
-            model = fits[index, digest][0]
+    fits, passes = _shared_work(config)
+    scored = {}  # model digest -> (model, timings, classification, robustness)
+    for digest, slot_keys in fits.items():
+        model, train_time = trained[index, digest]
+        with _noted(_slot_note(slot_keys[0], config)):
             t0 = time.perf_counter()
             test_scores = model.score(X_test)
-            predict_time = time.perf_counter() - t0
+            timings = {"train_time": train_time,
+                       "predict_time": time.perf_counter() - t0}
             cls = classification_metrics(test_scores, y_test, model.threshold)
 
             robust = robustness_metrics_suite(
@@ -381,14 +385,15 @@ def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
                 n_random_dirs=mcfg["n_random_dirs"],
                 max_pairs=mcfg["lipschitz_max_pairs"],
                 seed=derive_seed(master, f"robust:{digest}", index))
-            evaluated[digest] = (predict_time, cls, robust)
+        scored[digest] = (model, timings, cls, robust)
 
-    # Slots that explain one fit against one background share a pass: each
-    # instance and its probes are explained once for all of their kinds, and
-    # every slot of the pass records its wall time as its explain_time.
+    # Each instance and its probes are explained once for all of a pass's
+    # kinds, and every slot of the pass records its wall time as its
+    # explain_time. The passes hold the slots in order (``_shared_work``),
+    # so each cell is written as its pass ends.
     background_seed = derive_seed(master, "background", index)
-    explained = {}  # slot key -> (background, explanation metrics, explain_time)
     for (digest, size, mode, n_samples), slot_keys in passes.items():
+        model, timings, cls, robust = scored[digest]
         with _noted(*[_slot_note(slot_key, config) for slot_key in slot_keys]):
             background = sample_background(X_train, size, background_seed,
                                            players, numeric)
@@ -397,69 +402,49 @@ def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
                 mode, n_samples)
             t0 = time.perf_counter()
             suites = explanation_metrics_suite(
-                explain_fn, fits[index, digest][0], X_test[explain_rows], background,
+                explain_fn, model, X_test[explain_rows], background,
                 r=mcfg["sens_radius"], n_probes=mcfg["n_probes"], K=mcfg["morf_k"],
                 seed=derive_seed(master, "explain", index))
             explain_time = time.perf_counter() - t0
         for slot_key, expl in zip(slot_keys, suites):
-            explained[slot_key] = (background, expl, explain_time)
-
-    for slot_key, slot in SLOTS:
-        algo = config[slot_key]
-        digest = _model_digest(algo["model"])
-        model, train_time = fits[index, digest]
-        predict_time, cls, robust = evaluated[digest]
-        background, expl, explain_time = explained[slot_key]
-        result["models"].append({
-            "algorithm": slot,
-            "dataset": ds.name,
-            "kind": model.kind,
-            "hyperparameters": model.hyperparameters,
-            "train_seed": derive_seed(master, f"train:{digest}", index),
-            "threshold": model.threshold,
-            "parameter_digest": model.parameter_digest(),
-        })
-        result["explainers"].append({
-            "algorithm": slot,
-            "dataset": ds.name,
-            "kind": algo["explainer"],
-            "mode": algo["mode"],
-            "n_samples": algo["n_samples"],
-            "background_size": background.size,
-            "background_seed": background_seed,
-        })
-        result["metrics"].append({
-            "algorithm": slot,
-            "dataset": ds.name,
-            "classification": asdict(cls),
-            "explanation": asdict(expl),
-            "robustness": asdict(robust),
-            "timings": {"train_time": train_time, "predict_time": predict_time,
-                        "explain_time": explain_time},
-        })
+            cell = {"algorithm": dict(SLOTS)[slot_key], "dataset": ds.name}
+            result["models"].append({
+                **cell,
+                "kind": model.kind,
+                "hyperparameters": model.hyperparameters,
+                "train_seed": derive_seed(master, f"train:{digest}", index),
+                "threshold": model.threshold,
+                "parameter_digest": model.parameter_digest(),
+            })
+            result["explainers"].append({
+                **cell,
+                "kind": config[slot_key]["explainer"],
+                "mode": mode,
+                "n_samples": n_samples,
+                "background_size": background.size,
+                "background_seed": background_seed,
+            })
+            result["metrics"].append({
+                **cell,
+                "classification": asdict(cls),
+                "explanation": asdict(expl),
+                "robustness": asdict(robust),
+                "timings": {**timings, "explain_time": explain_time},
+            })
     return result
 
 
-def _comparison_block(config: dict, metric_entries: list[dict],
-                      dataset_names: list[str]) -> list[dict]:
+def _comparison_block(config: dict, results: list[dict]) -> list[dict]:
+    """Compare the slots per metric over the datasets, from each dataset's
+    metric cells, which ``_evaluate_dataset`` writes in slot order."""
     mcfg = config["metrics"]
     master = config["master_seed"]
-    by_key = {(m["algorithm"], m["dataset"]): m for m in metric_entries}
-
     comparisons = []
     for family, name in COMPARED_METRICS:
-        a_values, b_values = [], []
-        complete = True
-        for ds_name in dataset_names:
-            va = by_key[("a", ds_name)][family].get(name)
-            vb = by_key[("b", ds_name)][family].get(name)
-            if va is None or vb is None:
-                complete = False
-                break
-            a_values.append(float(va))
-            b_values.append(float(vb))
-        if not complete or len(a_values) < 2:
-            continue
+        pairs = [tuple(cell[family][name] for cell in r["metrics"]) for r in results]
+        if any(None in pair for pair in pairs):
+            continue  # a cell could not compute it (mean_delta_adv with no flip)
+        a_values, b_values = ([float(v) for v in side] for side in zip(*pairs))
         result = compare(name, a_values, b_values,
                          level=mcfg["confidence_level"],
                          n_resamples=mcfg["bootstrap_resamples"],
@@ -534,9 +519,7 @@ def run_study(config: dict, base_dir=".", output_base=None) -> dict:
         "timings": {"total_seconds": 0.0},
     }
     if config["metrics"]["statistics"]:
-        record["comparison"] = _comparison_block(
-            config, record["metrics"],
-            [r["dataset"]["name"] for r in results])
+        record["comparison"] = _comparison_block(config, results)
     record["timings"]["total_seconds"] = time.perf_counter() - started
     record["reproducibility_digest"] = reproducibility_digest(record)
 

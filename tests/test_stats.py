@@ -65,11 +65,14 @@ class TestAverageRanks:
             assert ranks.tobytes() == rankdata(values).tobytes()
             assert ranks.tolist() == _midranks(list(values))
 
-    def test_import_loads_no_scipy_module(self):
+    # the training pool's modules are imported where the pool is built, so
+    # that they add nothing to ``import gridbench``
+    @pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent.futures"])
+    def test_import_loads_no_scipy_module(self, package):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(gridbench.__file__).resolve().parents[1]))
         probe = ("import sys, gridbench; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 f"print(sorted(m for m in sys.modules if (m + '.').startswith('{package}.')))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

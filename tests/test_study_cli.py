@@ -267,12 +267,15 @@ class TestRunStudy:
         serial = run_study(config, base_dir=tmp_path / "serial")
         assert forked["reproducibility_digest"] == serial["reproducibility_digest"]
 
-    @pytest.mark.parametrize("same_spec", [True, False])
-    def test_one_fit_per_dataset_and_model_spec(self, same_spec, tmp_path,
-                                                monkeypatch):
+    @pytest.mark.parametrize("same_spec, background_b", [(True, None), (False, None),
+                                                        (True, 8)],
+                             ids=["True", "False", "True-other_background"])
+    def test_one_fit_per_dataset_and_model_spec(self, same_spec, background_b,
+                                                tmp_path, monkeypatch):
         # shared memory: training runs in forked workers
         calls = {name: multiprocessing.Value("i", 0)
-                 for name in ("_train_algorithm", "robustness_metrics_suite")}
+                 for name in ("_train_algorithm", "robustness_metrics_suite",
+                              "explanation_metrics_suite")}
         for name, count in calls.items():
             original = getattr(gridbench.study, name)
 
@@ -285,12 +288,17 @@ class TestRunStudy:
         config = tiny_config()
         if same_spec:
             config["algorithm_a"]["model"] = config["algorithm_b"]["model"]
+        if background_b:
+            config["algorithm_b"]["background_size"] = background_b
         record = run_study(config, base_dir=tmp_path)
 
-        per_dataset = 1 if same_spec else 2
+        fits = 1 if same_spec else 2
+        passes = 1 if same_spec and not background_b else 2
         n_datasets = len(config["datasets"])
         assert {name: count.value for name, count in calls.items()} == \
-            {name: per_dataset * n_datasets for name in calls}
+            {"_train_algorithm": fits * n_datasets,
+             "robustness_metrics_suite": fits * n_datasets,
+             "explanation_metrics_suite": passes * n_datasets}
         if same_spec:
             for ds in config["datasets"]:
                 a, b = (next(m for m in record["metrics"]
@@ -298,9 +306,12 @@ class TestRunStudy:
                         for slot in ("a", "b"))
                 for section in ("classification", "robustness"):
                     assert a[section] == b[section]
-                # and, as both slots explain against one background, one pass
-                for timing in ("train_time", "predict_time", "explain_time"):
+                # and, when both slots explain against one background, one pass
+                shared = ["train_time", "predict_time"] + ["explain_time"] * (passes == 1)
+                for timing in shared:
                     assert a["timings"][timing] == b["timings"][timing]
+        assert [e["background_size"] for e in record["explainers"]] == \
+            [16, background_b or 16] * n_datasets
 
     def test_shared_fit_scores_each_coalition_row_once(self, tmp_path, monkeypatch):
         # Rows each first-level member scores in the study's explanation
@@ -773,15 +784,32 @@ class TestCli:
         assert error_line.startswith("error: ")
         assert record["reproducibility_digest"] in error_line
 
+    @pytest.mark.parametrize("content", [b"[]", b"{bad", b"\xff\xfe", None],
+                             ids=["array", "not_json", "not_utf8", "no_created_at"])
     @pytest.mark.parametrize("command", [["datasets", "list", "{store}"],
-                                         ["compare", "x", "auc", "--store", "{store}"]],
-                             ids=["datasets_list", "compare"])
-    def test_record_that_is_not_an_object_exits_1(self, tmp_path, capsys, command):
+                                         ["compare", "x", "auc", "--store", "{store}"],
+                                         ["report", "x", "--out", "{store}/out",
+                                          "--store", "{store}"]],
+                             ids=["datasets_list", "compare", "report"])
+    def test_record_that_is_not_an_object_exits_1(self, tmp_path, capsys, command,
+                                                  content):
         store = DocumentStore(tmp_path / "studies")
-        (store.records_dir / "x.json").write_text("[]", encoding="utf-8")
-        assert main([arg.format(store=store.root) for arg in command]) == 1
-        error_line = capsys.readouterr().err.splitlines()[0]
-        assert error_line.startswith("error: ") and "'x'" in error_line
+        if content is None:
+            # created_at lies outside the digest, so only the schema refuses it
+            record = minimal_record()
+            del record["created_at"]
+            content = json.dumps(record).encode("utf-8")
+        (store.records_dir / "x.json").write_bytes(content)
+        # datasets list skips a file that does not parse
+        skipped = command[0] == "datasets" and content in (b"{bad", b"\xff\xfe")
+        assert main([arg.format(store=store.root) for arg in command]) == \
+            (0 if skipped else 1)
+        captured = capsys.readouterr()
+        if skipped:
+            assert captured.out == captured.err == ""
+        else:
+            error_line = captured.err.splitlines()[0]
+            assert error_line.startswith("error: ") and "'x'" in error_line
 
     def test_compare_unknown_metric_exits_2(self, tmp_path):
         store = DocumentStore(tmp_path / "studies")

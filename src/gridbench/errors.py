@@ -69,7 +69,7 @@ class DimensionMismatch(GridBenchError):
 
 # --- explain ------------------------------------------------------------
 
-class ExactTooLarge(GridBenchError):
+class ExactTooLarge(ValidationError):
     """Exact Shapley enumeration requested beyond the dimension cap."""
 
 

@@ -109,6 +109,19 @@ def sample_background(X: np.ndarray, size: int = 100, seed: int = 0,
     return Background(X[np.sort(idx)], players, numeric)
 
 
+def resolve_mode(mode: str, n_players: int) -> str:
+    """The mode run over ``n_players`` players: "auto" is "exact" iff the count
+    allows it, and "exact" beyond ``EXACT_DIMENSION_LIMIT`` raises ExactTooLarge."""
+    if mode == "auto":
+        mode = "exact" if n_players <= EXACT_DIMENSION_LIMIT else "sampled"
+    if mode == "exact" and n_players > EXACT_DIMENSION_LIMIT:
+        raise ExactTooLarge(f"exact enumeration needs at most {EXACT_DIMENSION_LIMIT} "
+                            f"players, got {n_players}")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
 def _prepare(model, x, background, mode: str) -> tuple[np.ndarray, bool, bool]:
     """The instances as a matrix, whether ``x`` was one vector, and whether exact."""
     X = np.asarray(x, dtype=np.float64)
@@ -123,15 +136,8 @@ def _prepare(model, x, background, mode: str) -> tuple[np.ndarray, bool, bool]:
     if background.rows.shape[1] != d:
         raise DimensionMismatch(
             f"instance has {d} features, background {background.rows.shape[1]}")
-    g = background.n_players
-    if mode == "auto":
-        mode = "exact" if g <= EXACT_DIMENSION_LIMIT else "sampled"
-    if mode == "exact" and g > EXACT_DIMENSION_LIMIT:
-        raise ExactTooLarge(
-            f"exact enumeration needs at most {EXACT_DIMENSION_LIMIT} players, got {g}")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.atleast_2d(X), X.ndim == 1, mode == "exact"
+    exact = resolve_mode(mode, background.n_players) == "exact"
+    return np.atleast_2d(X), X.ndim == 1, exact
 
 
 @lru_cache(maxsize=None)
@@ -292,22 +298,19 @@ def basic_join_explain(ens: StackedEnsemble, x, background: Background,
     return _explain(("basic_join",), ens, x, background, mode, n_samples, seed)[0]
 
 
-def build_explainer(kind, mode: str = "auto", n_samples: int = 2000):
-    """Bind an explainer kind to a callable (model, x, background, seed).
+def build_explainer(kinds: tuple, mode: str = "auto", n_samples: int = 2000):
+    """Bind a tuple of explainer kinds to a callable (model, x, background, seed).
 
-    ``kind`` is "blackbox" (whole-model Shapley) or "basic_join", and the
-    callable returns what ``shapley_explain`` or ``basic_join_explain``
-    returns: an explanation, or a list of them for a matrix of instances.
-    ``kind`` may also be a tuple of kinds to explain one model with in one
-    pass; the callable then returns a list with each kind's result, equal
-    to what that kind alone returns. The callable is the interface every
+    Each kind is "blackbox" (whole-model Shapley) or "basic_join". The
+    callable explains one model for every kind in one pass and returns a
+    list with each kind's result, equal to what ``shapley_explain`` or
+    ``basic_join_explain`` alone returns: an explanation, or a list of them
+    for a matrix of instances. The callable is the interface every
     explanation metric consumes.
     """
-    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    if not set(kinds) <= {"blackbox", "basic_join"}:
-        raise ValueError(f"unknown explainer kind in {kind!r}")
+    if isinstance(kinds, str) or not set(kinds) <= {"blackbox", "basic_join"}:
+        raise ValueError(f"kinds must be a tuple of 'blackbox'/'basic_join', got {kinds!r}")
 
     def explain(model, x, background, seed=0):
-        results = _explain(kinds, model, x, background, mode, n_samples, seed)
-        return results[0] if isinstance(kind, str) else results
+        return _explain(kinds, model, x, background, mode, n_samples, seed)
     return explain

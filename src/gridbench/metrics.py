@@ -1,11 +1,11 @@
 """Classification, explainability and robustness metrics.
 
 Explanation metrics consume an explainer callable with the signature
-``explain(model, x, background, seed) -> Explanation`` (see
-``explain.build_explainer``). ``explanation_metrics_suite`` explains each
-instance once, in one call with its ``sens_max`` candidates, for one
-explainer kind or several; the error, ``sens_max`` (as its reference) and
-the MoRF order all use it. The
+``explain(model, x, background, seed)`` that returns one result per
+explainer kind (see ``explain.build_explainer``). ``sens_max`` explains x
+in one call with its candidates and measures from x's explanation there;
+``explanation_metrics_suite`` takes the same step for each instance, so its
+error, ``sens_max`` and MoRF order all use that one explanation. The
 background's grouping decides what the perturbation metrics may touch:
 ``sens_max`` moves numeric columns only, and MoRF removes whole players.
 Every metric is a pure function of its inputs and seeds; per-instance
@@ -25,7 +25,7 @@ from .errors import (
     NoFlipFound,
     SingleClassLabels,
 )
-from .explain import Background, Explanation
+from .explain import Background
 from .seeding import derive_seed
 from .stats import average_ranks
 
@@ -105,47 +105,47 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
 
 # --- explanation stability ------------------------------------------------------
 
-def _sens_points(x: np.ndarray, r: float, n_probes: int, seed: int,
-                 numeric: np.ndarray) -> np.ndarray:
-    """x followed by its ``sens_max`` candidates, which move only the
-    ``numeric`` columns (none when r is 0 or no column is numeric)."""
+def _sens_explained(explain_fn, model, x, r: float, n_probes: int, seed: int,
+                    background: Background) -> list:
+    """Per kind, the explanations of x and then of its ``sens_max`` candidates
+    (which move numeric columns only: none when r is 0 or none is numeric),
+    from one call at ``derive_seed(seed, "sens_explain")``."""
     if r < 0:
         raise ValueError("perturbation radius must be >= 0")
-    if r == 0.0 or not numeric.any():
-        return x[None, :]
-    axes = r * np.eye(x.shape[0])[numeric]
-    corner = r * numeric
-    probes = np.zeros((int(n_probes), x.shape[0]))
-    rng = np.random.default_rng(derive_seed(seed, "sens_probes"))
-    probes[:, numeric] = rng.uniform(-r, r, size=(int(n_probes), axes.shape[0]))
-    return np.vstack([x, x + axes, x - axes, x + corner, x - corner, x + probes])
+    points = x = np.asarray(x, dtype=np.float64)
+    numeric = background.numeric
+    if r > 0 and numeric.any():
+        axes = r * np.eye(x.shape[0])[numeric]
+        corner = r * numeric
+        probes = np.zeros((int(n_probes), x.shape[0]))
+        rng = np.random.default_rng(derive_seed(seed, "sens_probes"))
+        probes[:, numeric] = rng.uniform(-r, r, size=(int(n_probes), axes.shape[0]))
+        points = np.vstack([x, x + axes, x - axes, x + corner, x - corner, x + probes])
+    return explain_fn(model, np.atleast_2d(points), background,
+                      seed=derive_seed(seed, "sens_explain"))
 
 
-def _max_shift(phi: np.ndarray, explanations) -> float:
-    return max([0.0] + [float(np.linalg.norm(e.phi - phi)) for e in explanations])
+def _max_shift(explained) -> float:
+    own, *candidates = explained
+    return max([0.0] + [float(np.linalg.norm(e.phi - own.phi)) for e in candidates])
 
 
-def sens_max(explain_fn, model, x, phi, r: float, n_probes: int = 8,
-             seed: int = 0, *, background: Background) -> float:
+def sens_max(explain_fn, model, x, r: float, n_probes: int = 8, seed: int = 0, *,
+             background: Background) -> float:
     """Maximum observed explanation shift under inf-ball input perturbations.
 
     The ball spans the d_num numeric columns of ``background``; one-hot
     columns stay as they are. Candidates: the 2*d_num axis-extreme points
     x +- r*e_i, the two diagonal corners, and ``n_probes`` seeded uniform
     draws from the ball. With no numeric column there is no candidate and
-    the result is 0.0, as for r = 0. ``phi`` is the reference attribution
-    of x from ``explain_fn`` at ``derive_seed(seed, "sens_explain")``; x
-    and every candidate are explained in one call at that seed (common
-    random numbers, so sampled-mode noise does not register as
-    sensitivity). The result is a lower bound on the true maximum.
+    the result is 0.0, as for r = 0. ``explain_fn`` explains one kind, x
+    and every candidate in one call at ``derive_seed(seed, "sens_explain")``
+    (common random numbers, so sampled-mode noise does not register as
+    sensitivity); shifts are measured from x's explanation in that call.
+    The result is a lower bound on the true maximum.
     """
-    points = _sens_points(np.asarray(x, dtype=np.float64), r, n_probes, seed,
-                          background.numeric)
-    if len(points) == 1:
-        return 0.0
-    explained = explain_fn(model, points, background,
-                           seed=derive_seed(seed, "sens_explain"))
-    return _max_shift(phi, explained[1:])
+    (explained,) = _sens_explained(explain_fn, model, x, r, n_probes, seed, background)
+    return _max_shift(explained)
 
 
 # --- degree of importance (perturbation curve) -----------------------------------
@@ -180,6 +180,9 @@ def auc_morf(model, x, K: int, background: Background,
 
 # --- adversarial robustness ---------------------------------------------------
 
+SEARCH_TOL = 1e-6  # the width at which the flip-distance bisection stops
+
+
 @dataclass(frozen=True)
 class RobustnessProbe:
     delta: float
@@ -187,17 +190,16 @@ class RobustnessProbe:
 
 
 def adversarial_robustness(model, x, candidates: np.ndarray,
-                           n_random_dirs: int = 4, seed: int = 0,
-                           tol: float = 1e-6) -> RobustnessProbe:
+                           n_random_dirs: int = 4, seed: int = 0) -> RobustnessProbe:
     """Minimum found L2 perturbation that flips the predicted label.
 
     Directions: toward every opposite-labeled candidate (a flip is certain
     on that segment) plus seeded random unit directions with an expanding
     search capped at 10x the data's bounding-box diagonal. All directions
     advance together: each step of the expanding search and of the
-    bisection is one ``score`` call over the directions still open. The
-    probe's ``delta`` is an upper bound on the true minimal perturbation and
-    its ``witness`` is the flipped point at that distance.
+    bisection, which stops at ``SEARCH_TOL``, is one ``score`` call over the
+    directions still open. The probe's ``delta`` is an upper bound on the
+    true minimal perturbation and its ``witness`` is the flipped point.
     """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -232,20 +234,18 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
         return (model.score(points) >= model.threshold).astype(np.int64) != base_label
 
     # expanding search for any flip along the random rays: no flip at lo
-    t = tol
+    t = SEARCH_TOL
     while t <= cap and (rows := np.flatnonzero(np.isinf(hi))).size:
         flipped = flips(x + t * U[rows])
         hi[rows[flipped]] = t
         lo[rows[~flipped]] = t
         t = t * 2.0
 
-    found = np.isfinite(hi)
-    if not found.any():
+    if not np.isfinite(hi).any():
         raise NoFlipFound("no probed direction flipped the predicted label")
-    U, lo, hi = U[found], lo[found], hi[found]
 
-    # bisect every [lo, hi] (no flip at lo, a flip at hi) down to tol
-    while (rows := np.flatnonzero(hi - lo > tol)).size:
+    # bisect every finite [lo, hi] (no flip at lo, a flip at hi) down to SEARCH_TOL
+    while (rows := np.flatnonzero(np.isfinite(hi) & (hi - lo > SEARCH_TOL))).size:
         mid = (lo[rows] + hi[rows]) / 2.0
         flipped = flips(x + mid[:, None] * U[rows])
         hi[rows[flipped]] = mid[flipped]
@@ -307,32 +307,26 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
                               n_probes: int = 8, K: int = 5, seed: int = 0):
     """Instance-averaged explanation accuracy, stability, and importance.
 
-    ``explain_fn`` is a lone explainer, which gives one ``ExplanationMetrics``,
-    or one that returns a list of explanation lists, one per kind (as
-    ``build_explainer`` of a tuple of kinds does), which gives a list of
-    ``ExplanationMetrics`` in the same order. Each instance is explained
-    once, with its ``sens_max`` candidates, for every kind; each kind's
-    explanation gives its error, its ``sens_max`` reference and its MoRF
-    order (ties broken by lower player index). MoRF removes min(K, G) of
-    the G players.
+    Gives one ``ExplanationMetrics`` per kind of ``explain_fn``, in its
+    order. Instance i is explained once, for every kind, by ``sens_max``'s
+    step at ``derive_seed(seed, "sens", i)``, so its recorded ``sens_max``
+    is what ``sens_max`` at that seed returns; each kind's explanation of x
+    gives its error and its MoRF order (ties broken by lower player index).
+    MoRF removes min(K, G) of the G players.
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     scores = model.score(instances)
     K_eff = min(K, background.n_players)
     per_instance = []  # per instance, per kind: (error, sens_max, MoRF area)
     for i, x in enumerate(instances):
-        sens_seed = derive_seed(seed, "sens", i)
-        points = _sens_points(x, r, n_probes, sens_seed, background.numeric)
-        explained = explain_fn(model, points, background,
-                               seed=derive_seed(sens_seed, "sens_explain"))
-        lone = isinstance(explained[0], Explanation)
+        explained = _sens_explained(explain_fn, model, x, r, n_probes,
+                                    derive_seed(seed, "sens", i), background)
         per_instance.append([
-            (abs(expl.prediction() - float(scores[i])),
-             _max_shift(expl.phi, candidates),
+            (abs(expls[0].prediction() - float(scores[i])), _max_shift(expls),
              auc_morf(model, x, K_eff, background,
-                      np.argsort(-np.abs(expl.phi), kind="stable")))
-            for expl, *candidates in ([explained] if lone else explained)])
-    suites = [ExplanationMetrics(
+                      np.argsort(-np.abs(expls[0].phi), kind="stable")))
+            for expls in explained])
+    return [ExplanationMetrics(
         explanation_error=float(np.mean(errors)),
         sens_max=float(np.mean(sens_values)),
         sens_radius=float(r),
@@ -340,7 +334,6 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
         morf_features_evaluated=int(K_eff),
     ) for errors, sens_values, morf_values in
         (zip(*kind) for kind in zip(*per_instance))]
-    return suites[0] if lone else suites
 
 
 def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarray,
@@ -356,8 +349,11 @@ def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarra
                 seed=derive_seed(seed, "adv", i)).delta)
         except NoFlipFound:
             continue
-    bound, pairs = lipschitz_lower(model, instances, max_pairs,
-                                   seed=derive_seed(seed, "lip"))
+    try:
+        bound, pairs = lipschitz_lower(model, instances, max_pairs,
+                                       seed=derive_seed(seed, "lip"))
+    except AllInstancesIdentical:
+        bound, pairs = 0.0, 0  # no two distinct instances: nothing measured
     return RobustnessMetrics(
         delta_adv=[float(v) for v in deltas],
         mean_delta_adv=float(np.mean(deltas)) if deltas else None,

@@ -118,6 +118,8 @@ def fit_pipeline(train: Dataset, config: PipelineConfig) -> FittedPipeline:
         elif config.use_onehot:
             onehot_categories[j] = tuple(dict.fromkeys(train.features[:, j]))
             width += len(onehot_categories[j])
+    if width == 0:
+        raise InvalidConfig("no input column survives preprocessing; enable use_onehot")
 
     partial = FittedPipeline(
         config=config,

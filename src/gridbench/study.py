@@ -42,7 +42,7 @@ from .data import (
     split,
 )
 from .errors import InvalidConfig
-from .explain import build_explainer, sample_background
+from .explain import build_explainer, resolve_mode, sample_background
 from .metrics import (
     classification_metrics,
     explanation_metrics_suite,
@@ -264,6 +264,9 @@ def _prepare_dataset(index: int, entry: dict, config: dict,
     pair = split(ds, config["split"]["train_fraction"],
                  derive_seed(master, "split", index))
     pipeline = fit_pipeline(pair.train, PipelineConfig(**config["preprocessing"]))
+    for slot_key, _ in SLOTS:  # refuse exact over too many players before training
+        with _noted(_slot_note(slot_key, config)):
+            resolve_mode(config[slot_key]["mode"], len(set(pipeline.players()[0])))
     return _Prepared(ds, pair, pipeline, apply_pipeline(pipeline, pair.train),
                      apply_pipeline(pipeline, pair.test))
 

@@ -35,8 +35,8 @@ from test_stats import wilcoxon_brute_force
 from test_study_cli import tiny_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: shapley_explain(  # noqa: E731
-    model, x, background, mode="exact", seed=seed)
+EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: [shapley_explain(  # noqa: E731
+    model, x, background, mode="exact", seed=seed)]
 CASE_STUDY_DIGEST = "9ce13b9eb2975d66af94d75ea5b209d80cab0ecbb5fca89f95dd6770bdeffa76"
 # numeric-only: every column is its own player, so player grouping leaves it as it was
 TINY_CONFIG_DIGEST = "f182488274bbf84e7bc7445e080d1e0df6c9c99cc4a0fb724a9eb8956391de0d"
@@ -115,16 +115,14 @@ def test_sens_max_analytic_case(acceptance_models):
     model = LinearStub([1.0, 2.0])
     background = Background(np.array([[0.0, 0.0], [0.5, 0.5]]))
     x = np.array([0.2, 0.7])
-    phi = shapley_explain(model, x, background, mode="exact").phi
-    got = sens_max(EXACT_EXPLAIN, model, x, phi, r=0.01,
+    got = sens_max(EXACT_EXPLAIN, model, x, r=0.01,
                    n_probes=4, seed=0, background=background)
     assert abs(got - 0.01 * np.sqrt(5.0)) < 1e-9
 
     models, X_train, X_test = acceptance_models
     bg = sample_background(X_train, 10, seed=1)
     for kind, trained in models.items():
-        phi = shapley_explain(trained, X_test[0], bg, mode="exact").phi
-        assert sens_max(EXACT_EXPLAIN, trained, X_test[0], phi, r=0.0,
+        assert sens_max(EXACT_EXPLAIN, trained, X_test[0], r=0.0,
                         background=bg) == 0.0, kind
     _report("SENS_MAX: corner attains 0.01*sqrt(5) within 1e-9; r=0 gives 0 "
             "for all model kinds")

@@ -269,11 +269,12 @@ class TestBackgroundAndBuilder:
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
         for kind in ("blackbox", "basic_join"):
-            fn = build_explainer(kind, mode="exact")
-            expl = fn(trained_stack, X_test[0], bg, seed=0)
+            fn = build_explainer((kind,), mode="exact")
+            (expl,) = fn(trained_stack, X_test[0], bg, seed=0)
             assert expl.phi.shape == (X_test.shape[1],)
-        with pytest.raises(ValueError):
-            build_explainer("nope")
+        for kinds in ("nope", ("nope",), "blackbox"):  # a bare kind is refused
+            with pytest.raises(ValueError):
+                build_explainer(kinds)
 
 
 # --- the per-point paths the batched engine replaced, kept as references ---
@@ -449,7 +450,7 @@ class TestJointPass:
             got = joint(categorical_stack, x, bg, seed=5)
             assert len(got) == len(kinds)
             for kind, explained in zip(kinds, got):
-                alone = build_explainer(kind, mode, n_samples=40)(
+                (alone,) = build_explainer((kind,), mode, n_samples=40)(
                     categorical_stack, x, bg, seed=5)
                 if isinstance(alone, Explanation):
                     explained, alone = [explained], [alone]

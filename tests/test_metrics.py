@@ -34,11 +34,11 @@ from gridbench.metrics import (
 from gridbench.preprocess import PipelineConfig, apply_pipeline, fit_pipeline
 from gridbench.seeding import derive_seed
 
-EXACT = build_explainer("blackbox", mode="exact")
+EXACT = build_explainer(("blackbox",), mode="exact")
 
 
 def _phi(model, x, bg):
-    """x's own exact attribution: the reference ``sens_max`` compares to."""
+    """x's own exact attribution."""
     return shapley_explain(model, x, bg, mode="exact").phi
 
 
@@ -118,8 +118,8 @@ def _three_explanation_suite(explain_fn, model, instances, background, r,
     scores = model.score(instances)
     errors = []
     for i, x in enumerate(instances):
-        expl = explain_fn(model, x, background,
-                          seed=derive_seed(seed, "expl_err", i))
+        (expl,) = explain_fn(model, x, background,
+                             seed=derive_seed(seed, "expl_err", i))
         errors.append(abs(expl.prediction() - float(scores[i])))
 
     sens_values, morf_values = [], []
@@ -134,15 +134,15 @@ def _three_explanation_suite(explain_fn, model, instances, background, r,
         for _ in range(n_probes):
             candidates.append(x + rng.uniform(-r, r, size=d))
         expl_seed = derive_seed(sens_seed, "sens_explain")
-        phi0 = explain_fn(model, x, background, seed=expl_seed).phi
+        phi0 = explain_fn(model, x, background, seed=expl_seed)[0].phi
         worst = 0.0
         for cand in candidates:
-            phi = explain_fn(model, cand, background, seed=expl_seed).phi
+            phi = explain_fn(model, cand, background, seed=expl_seed)[0].phi
             worst = max(worst, float(np.linalg.norm(phi - phi0)))
         sens_values.append(worst)
 
         morf_seed = derive_seed(seed, "morf", i)
-        expl = explain_fn(model, x, background, seed=derive_seed(morf_seed, "morf"))
+        (expl,) = explain_fn(model, x, background, seed=derive_seed(morf_seed, "morf"))
         order = np.argsort(-np.abs(expl.phi), kind="stable")
         mean = background.mean()
         points = np.tile(x, (K_eff + 1, 1))
@@ -166,7 +166,7 @@ class TestExplanationError:
         bg = sample_background(X_test, 12, seed=0)
         for model in trained_models.values():
             err = explanation_metrics_suite(EXACT, model, X_test[:8], bg,
-                                            r=0.0).explanation_error
+                                            r=0.0)[0].explanation_error
             assert err < 1e-9
 
     def test_constant_model_zero_error_every_kind(self):
@@ -174,22 +174,22 @@ class TestExplanationError:
         model = ConstantStub(0.5)
         X = np.array([[0.1, 0.2], [0.5, 0.5]])
         for kind, mode in (("blackbox", "exact"), ("blackbox", "sampled")):
-            fn = build_explainer(kind, mode=mode, n_samples=50)
+            fn = build_explainer((kind,), mode=mode, n_samples=50)
             err = explanation_metrics_suite(fn, model, X, bg,
-                                            r=0.0).explanation_error
+                                            r=0.0)[0].explanation_error
             assert err == pytest.approx(0.0)
 
     def test_basic_join_error_matches_hand_computation(self, trained_stack,
                                                        blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 10, seed=1)
-        fn = build_explainer("basic_join", mode="exact")
+        fn = build_explainer(("basic_join",), mode="exact")
         x = X_test[4]
-        expl = fn(trained_stack, x, bg, seed=0)
+        (expl,) = fn(trained_stack, x, bg, seed=0)
         expected = abs(expl.base_value + expl.phi.sum()
                        - float(trained_stack.score(x[None, :])[0]))
         got = explanation_metrics_suite(fn, trained_stack, x[None, :], bg,
-                                        r=0.0).explanation_error
+                                        r=0.0)[0].explanation_error
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -198,8 +198,7 @@ class TestSensMax:
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
         for model in trained_models.values():
-            phi = _phi(model, X_test[0], bg)
-            assert sens_max(EXACT, model, X_test[0], phi, r=0.0,
+            assert sens_max(EXACT, model, X_test[0], r=0.0,
                             background=bg) == 0.0
 
     def test_linear_analytic_maximum_attained_at_corner(self):
@@ -209,23 +208,21 @@ class TestSensMax:
         model = LinearStub([1.0, 2.0])
         bg = Background(np.array([[0.0, 0.0], [1.0, 1.0]]))
         x = np.array([0.3, 0.4])
-        got = sens_max(EXACT, model, x, _phi(model, x, bg), r=0.01,
-                       n_probes=4, seed=0, background=bg)
+        got = sens_max(EXACT, model, x, r=0.01, n_probes=4, seed=0, background=bg)
         assert got == pytest.approx(0.01 * np.sqrt(5.0), abs=1e-9)
 
     def test_constant_model_zero(self):
         bg = Background(np.zeros((2, 3)))
         model = ConstantStub(0.9, input_dimension=3)
         x = np.zeros(3)
-        assert sens_max(EXACT, model, x, _phi(model, x, bg), r=0.05,
+        assert sens_max(EXACT, model, x, r=0.05,
                         background=bg) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_radius_linear(self):
         model = LinearStub([1.5, -0.5, 2.0])
         bg = Background(np.zeros((2, 3)))
         x = np.array([0.1, 0.2, 0.3])
-        phi = _phi(model, x, bg)
-        values = [sens_max(EXACT, model, x, phi, r=r, n_probes=4, seed=1,
+        values = [sens_max(EXACT, model, x, r=r, n_probes=4, seed=1,
                            background=bg) for r in (0.01, 0.02, 0.04)]
         assert values[0] <= values[1] <= values[2]
 
@@ -233,8 +230,7 @@ class TestSensMax:
         background = inspect.signature(sens_max).parameters["background"]
         assert background.default is inspect.Parameter.empty
         with pytest.raises(TypeError, match="background"):
-            sens_max(EXACT, LinearStub([1.0, 2.0]), np.array([0.3, 0.4]),
-                     np.zeros(2), r=0.01)
+            sens_max(EXACT, LinearStub([1.0, 2.0]), np.array([0.3, 0.4]), r=0.01)
 
 
 class TestAucMorf:
@@ -501,9 +497,9 @@ class TestSuites:
     def test_explanation_suite_fields(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 10, seed=0)
-        suite = explanation_metrics_suite(EXACT, trained_models["tree"],
-                                          X_test[:4], bg, r=0.01, n_probes=2,
-                                          K=3, seed=0)
+        (suite,) = explanation_metrics_suite(EXACT, trained_models["tree"],
+                                             X_test[:4], bg, r=0.01, n_probes=2,
+                                             K=3, seed=0)
         assert suite.explanation_error < 1e-9
         assert suite.sens_max >= 0.0
         assert suite.sens_radius == 0.01
@@ -562,9 +558,9 @@ class TestSuites:
             self, kind, trained_stack, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=2)
-        fn = build_explainer(kind, mode="exact")
+        fn = build_explainer((kind,), mode="exact")
         args = dict(r=0.05, n_probes=3, K=3, seed=11)
-        got = explanation_metrics_suite(fn, trained_stack, X_test[:4], bg, **args)
+        (got,) = explanation_metrics_suite(fn, trained_stack, X_test[:4], bg, **args)
         want = _three_explanation_suite(fn, trained_stack, X_test[:4], bg, **args)
         assert [float(v).hex() for v in astuple(got)] == \
             [float(v).hex() for v in astuple(want)]
@@ -578,15 +574,40 @@ class TestSuites:
         args = dict(r=0.05, n_probes=3, K=3, seed=11)
         got = explanation_metrics_suite(build_explainer(kinds, mode, n_samples=30),
                                         trained_stack, X_test[:3], bg, **args)
-        want = [explanation_metrics_suite(build_explainer(kind, mode, n_samples=30),
-                                          trained_stack, X_test[:3], bg, **args)
+        want = [explanation_metrics_suite(build_explainer((kind,), mode, n_samples=30),
+                                          trained_stack, X_test[:3], bg, **args)[0]
                 for kind in kinds]
         assert got == want
+
+    def test_recorded_sens_max_is_the_public_one(self, trained_stack, blob_matrices):
+        # a sampled joint pass: each kind's recorded sens_max is the mean of
+        # what sens_max returns for that kind alone at each instance's seed
+        _, _, X_test, _ = blob_matrices
+        bg = sample_background(X_test, 8, seed=2)
+        kinds, instances = ("blackbox", "basic_join"), X_test[:3]
+        r, n_probes, n_samples, seed = 0.05, 3, 30, 11
+        suites = explanation_metrics_suite(
+            build_explainer(kinds, "sampled", n_samples), trained_stack, instances,
+            bg, r=r, n_probes=n_probes, K=3, seed=seed)
+        for kind, suite in zip(kinds, suites):
+            alone = build_explainer((kind,), "sampled", n_samples)
+            want = np.mean([sens_max(alone, trained_stack, x, r, n_probes,
+                                     derive_seed(seed, "sens", i), background=bg)
+                            for i, x in enumerate(instances)])
+            assert suite.sens_max > 0.0
+            assert suite.sens_max == float(want)
+
+    def test_robustness_suite_on_identical_instances(self):
+        # no two instances differ: the bound is 0.0 over 0 pairs, not an error
+        suite = robustness_metrics_suite(AxisThresholdStub(cut=0.5), np.full((3, 1), 0.2),
+                                         np.array([[0.9], [0.1]]), n_random_dirs=2)
+        assert suite.lipschitz_lower == 0.0 and suite.pairs_evaluated == 0
+        assert suite.delta_adv == pytest.approx([0.3] * 3, abs=1e-5)
 
     def test_suites_schedule_independent(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
         bg = sample_background(X_test, 8, seed=0)
-        fn = build_explainer("blackbox", mode="sampled", n_samples=60)
+        fn = build_explainer(("blackbox",), mode="sampled", n_samples=60)
         a = explanation_metrics_suite(fn, trained_models["mlp"], X_test[:3],
                                       bg, seed=7)
         b = explanation_metrics_suite(fn, trained_models["mlp"], X_test[:3],
@@ -619,7 +640,7 @@ class TestPlayersInPerturbations:
         stack = copy.copy(categorical_stack)
         stack.first_level = [_Recording(m, seen) for m in stack.first_level]
         bg = sample_background(X_train, 12, 0, players, numeric)
-        fn = build_explainer(kind, mode=mode, n_samples=40)
+        fn = build_explainer((kind,), mode=mode, n_samples=40)
         explanation_metrics_suite(fn, stack, X_test[:3], bg, r=0.05,
                                   n_probes=3, K=6, seed=1)
         rows = np.vstack(seen)
@@ -652,8 +673,7 @@ class TestPlayersInPerturbations:
         model = LinearStub([1.0, 2.0, 3.0])
         bg = Background(np.eye(3), [0, 0, 0], [False, False, False])
         x = np.array([0.0, 1.0, 0.0])
-        assert sens_max(EXACT, model, x, _phi(model, x, bg), r=0.05,
-                        background=bg) == 0.0
+        assert sens_max(EXACT, model, x, r=0.05, background=bg) == 0.0
 
     def test_suite_on_categorical_only_data(self):
         ds = generate_synthetic(SyntheticSpec(n=60, d_numeric=0, d_categorical=2),
@@ -662,8 +682,8 @@ class TestPlayersInPerturbations:
         X = apply_pipeline(pipeline, ds)
         bg = sample_background(X, 10, 0, *pipeline.players())
         model = LinearStub(np.linspace(0.1, 0.6, X.shape[1]))
-        suite = explanation_metrics_suite(EXACT, model, X[:3], bg, r=0.05,
-                                          n_probes=2, K=5, seed=0)
+        (suite,) = explanation_metrics_suite(EXACT, model, X[:3], bg, r=0.05,
+                                             n_probes=2, K=5, seed=0)
         assert suite.sens_max == 0.0
         assert suite.morf_features_evaluated == bg.n_players == 2
         assert suite.explanation_error < 1e-12

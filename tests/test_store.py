@@ -260,8 +260,8 @@ class TestSectionsMatchSchema:
 
     def test_real_explanation_section_validates(self, trained_models, blob_matrices):
         _, _, X_test, _ = blob_matrices
-        suite = explanation_metrics_suite(
-            build_explainer("blackbox", mode="exact"), trained_models["tree"],
+        (suite,) = explanation_metrics_suite(
+            build_explainer(("blackbox",), mode="exact"), trained_models["tree"],
             X_test[:2], sample_background(X_test, 8, seed=0), n_probes=2, K=2)
         jsonschema.validate(asdict(suite), _CELL["explanation"])
 

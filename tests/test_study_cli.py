@@ -346,7 +346,7 @@ class TestRunStudy:
         members = []
         for model, instances, background, kwargs in suites.values():
             counting[0] = True
-            explanation_metrics_suite(build_explainer("basic_join"), model,
+            explanation_metrics_suite(build_explainer(("basic_join",)), model,
                                       instances, background, **kwargs)
             counting[0] = False
             morf_rows = len(instances) * (min(kwargs["K"], background.n_players) + 1)
@@ -711,6 +711,31 @@ class TestCli:
         error_lines = [line for line in capsys.readouterr().err.splitlines()
                        if line.startswith("error:")]
         assert error_lines and key in error_lines[0]
+
+    @pytest.mark.parametrize("case", ["exact_over_13_players", "no_input_column"])
+    def test_fitted_pipeline_refusals_exit_1_before_training(self, tmp_path, capsys,
+                                                             monkeypatch, case):
+        # the datasets are built for real; the refusal needs the fitted pipeline
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        config = tiny_config()
+        if case == "exact_over_13_players":
+            for entry in config["datasets"]:
+                entry["d_numeric"] = 13
+            config["algorithm_a"]["mode"] = "exact"
+            message, notes = "at most 12 players, got 13", ["algorithm_a (plain-logreg)"]
+        else:
+            config["datasets"][0].update(d_numeric=0, d_categorical=2)
+            config["preprocessing"]["use_onehot"] = False
+            message, notes = "no input column survives", []
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err.splitlines()[0]
+        for note in [*notes, "datasets[0] (tiny_a)"]:
+            assert note in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
 
     def test_synthetic_range_mistakes_exit_1_with_pointers(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -25,25 +25,14 @@ def canonical_float(value: float) -> str:
     return text
 
 
+# JSON's short escapes, and \u00XX for every other control character
+_ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)},
+            **str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+                             "\t": "\\t"})}
+
+
 def _escape_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def canonical_json(obj) -> str:

@@ -47,24 +47,15 @@ class FeatureDescriptor:
             raise InvalidSpec(f"categorical feature {self.name!r} has no categories")
 
 
-def _canonical_cell(value, kind: str) -> str:
-    if kind == NUMERIC:
-        return canonical_float(float(value))
-    return str(value)
-
-
 def _content_hash(features: np.ndarray, labels: np.ndarray,
                   descriptors: list[FeatureDescriptor]) -> str:
     """Hash of a canonical UTF-8 CSV of cells, labels, and descriptors."""
-    lines = []
-    for desc in descriptors:
-        lines.append("#desc," + desc.name + "," + desc.kind + ","
-                     + "|".join(desc.categories))
-    for i in range(features.shape[0]):
-        cells = [_canonical_cell(features[i, j], descriptors[j].kind)
-                 for j in range(features.shape[1])]
-        cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
+    numeric = [desc.kind == NUMERIC for desc in descriptors]
+    lines = ["#desc," + desc.name + "," + desc.kind + "," + "|".join(desc.categories)
+             for desc in descriptors]
+    lines += [",".join([*(canonical_float(float(v)) if num else str(v)
+                          for v, num in zip(row, numeric)), str(label)])
+              for row, label in zip(features.tolist(), labels.tolist())]
     return sha256_hex("\n".join(lines))
 
 
@@ -197,9 +188,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     features = np.empty((spec.n, spec.d_numeric + spec.d_categorical), dtype=object)
     if spec.d_numeric > 0:
         means = labels[:, None] * spec.class_separation
-        numeric = rng.normal(loc=0.0, scale=1.0, size=(spec.n, spec.d_numeric)) + means
-        for j in range(spec.d_numeric):
-            features[:, j] = numeric[:, j]
+        features[:, :spec.d_numeric] = rng.normal(
+            loc=0.0, scale=1.0, size=(spec.n, spec.d_numeric)) + means
 
     descriptors = [FeatureDescriptor(f"num_{j}", NUMERIC)
                    for j in range(spec.d_numeric)]
@@ -215,8 +205,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
             draws = np.where(labels == 1,
                              rng.choice(c, size=spec.n, p=p1),
                              rng.choice(c, size=spec.n, p=p0))
-            col = spec.d_numeric + j
-            features[:, col] = np.array([cats[k] for k in draws], dtype=object)
+            features[:, spec.d_numeric + j] = np.array(cats, dtype=object)[draws]
             descriptors.append(FeatureDescriptor(f"sym_{j}", CATEGORICAL, cats))
 
     return Dataset(
@@ -264,17 +253,17 @@ def _read_manifest(manifest_path) -> dict:
 def load_csv(manifest_path) -> Dataset:
     """Load a dataset described by a JSON manifest (``MANIFEST_SCHEMA``).
 
-    A relative csv_path resolves against the manifest. The CSV needs a
-    header row. A row is dropped when its length differs from the header's
-    or a used cell is empty, unparsable or non-finite; the drop count lands
-    in ``metadata``.
+    A relative csv_path resolves against the manifest. The CSV is UTF-8,
+    with or without a byte-order mark, and needs a header row. A row is
+    dropped when its length differs from the header's or a used cell is
+    empty, unparsable or non-finite; the drop count lands in ``metadata``.
     """
     manifest = _read_manifest(manifest_path)
     csv_path = Path(manifest_path).parent / manifest["csv_path"]
     if not csv_path.is_file():
         raise MissingFile(f"CSV not found: {csv_path}")
     try:
-        with open(csv_path, newline="", encoding="utf-8") as handle:
+        with open(csv_path, newline="", encoding="utf-8-sig") as handle:
             lines = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise MalformedManifest(f"CSV {csv_path} cannot be read: {exc}") from exc

@@ -41,7 +41,6 @@ class FittedPipeline:
     config: PipelineConfig
     input_descriptors: tuple[FeatureDescriptor, ...]
     onehot_categories: dict = field(default_factory=dict)
-    encoded_width: int = 0
     minmax_params: np.ndarray | None = None
     pca_mean: np.ndarray | None = None
     pca_components_matrix: np.ndarray | None = None
@@ -81,25 +80,19 @@ class FittedPipeline:
                 np.repeat([kind for _, kind in features], widths).astype(bool))
 
 
-def _encode(pipeline: FittedPipeline, features: np.ndarray) -> np.ndarray:
-    """Expand raw cells into the post-encoding numeric matrix."""
-    n = features.shape[0]
-    out = np.zeros((n, pipeline.encoded_width), dtype=np.float64)
-    col = 0
-    for j, desc in enumerate(pipeline.input_descriptors):
+def _encode(descriptors: tuple[FeatureDescriptor, ...], onehot_categories: dict,
+            features: np.ndarray) -> np.ndarray:
+    """Expand raw cells into the post-encoding numeric matrix. A categorical
+    feature outside ``onehot_categories`` is dropped; an unseen category
+    encodes as an all-zero block."""
+    blocks = [np.empty((features.shape[0], 0))]
+    for j, desc in enumerate(descriptors):
         if desc.kind == NUMERIC:
-            out[:, col] = features[:, j].astype(np.float64)
-            col += 1
-        elif j in pipeline.onehot_categories:
-            cats = pipeline.onehot_categories[j]
-            lookup = {c: k for k, c in enumerate(cats)}
-            for i in range(n):
-                k = lookup.get(features[i, j])
-                if k is not None:
-                    out[i, col + k] = 1.0
-            col += len(cats)
-        # categorical with one-hot disabled: dropped
-    return out
+            blocks.append(features[:, j, None].astype(np.float64))
+        elif j in onehot_categories:
+            categories = np.array(onehot_categories[j], dtype=object)
+            blocks.append(features[:, j, None] == categories)
+    return np.hstack(blocks, dtype=np.float64)
 
 
 def fit_pipeline(train: Dataset, config: PipelineConfig) -> FittedPipeline:
@@ -110,25 +103,13 @@ def fit_pipeline(train: Dataset, config: PipelineConfig) -> FittedPipeline:
     train covariance, sorts components by descending eigenvalue, and fixes
     each component's sign so its largest-magnitude entry is positive.
     """
-    onehot_categories: dict[int, tuple[str, ...]] = {}
-    width = 0
-    for j, desc in enumerate(train.descriptors):
-        if desc.kind == NUMERIC:
-            width += 1
-        elif config.use_onehot:
-            onehot_categories[j] = tuple(dict.fromkeys(train.features[:, j]))
-            width += len(onehot_categories[j])
+    onehot_categories = {j: tuple(dict.fromkeys(train.features[:, j]))
+                         for j, desc in enumerate(train.descriptors)
+                         if config.use_onehot and desc.kind != NUMERIC}
+    matrix = _encode(train.descriptors, onehot_categories, train.features)
+    width = matrix.shape[1]
     if width == 0:
         raise InvalidConfig("no input column survives preprocessing; enable use_onehot")
-
-    partial = FittedPipeline(
-        config=config,
-        input_descriptors=train.descriptors,
-        onehot_categories=onehot_categories,
-        encoded_width=width,
-        output_dimension=width,
-    )
-    matrix = _encode(partial, train.features)
 
     minmax_params = None
     if config.use_minmax:
@@ -167,7 +148,6 @@ def fit_pipeline(train: Dataset, config: PipelineConfig) -> FittedPipeline:
         config=config,
         input_descriptors=train.descriptors,
         onehot_categories=onehot_categories,
-        encoded_width=width,
         minmax_params=minmax_params,
         pca_mean=pca_mean,
         pca_components_matrix=pca_proj,
@@ -195,7 +175,7 @@ def apply_pipeline(pipeline: FittedPipeline, ds: Dataset) -> np.ndarray:
             raise SchemaMismatch(
                 f"feature {got.name!r} ({got.kind}) does not match fitted "
                 f"{want.name!r} ({want.kind})")
-    matrix = _encode(pipeline, ds.features)
+    matrix = _encode(pipeline.input_descriptors, pipeline.onehot_categories, ds.features)
     if pipeline.minmax_params is not None:
         matrix = _apply_minmax(pipeline.minmax_params, matrix)
     if pipeline.pca_components_matrix is not None:

@@ -203,13 +203,8 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
     else:
         z0 = _NORMAL.inv_cdf(prop_below)
         # jackknife over both groups for the acceleration constant
-        jack = []
-        sum_a, sum_b = a.sum(), b.sum()
-        for i in range(a.size):
-            jack.append((sum_a - a[i]) / (a.size - 1) - b.mean())
-        for i in range(b.size):
-            jack.append(a.mean() - (sum_b - b[i]) / (b.size - 1))
-        jack = np.asarray(jack)
+        jack = np.concatenate([(a.sum() - a) / (a.size - 1) - b.mean(),
+                               a.mean() - (b.sum() - b) / (b.size - 1)])
         deviations = jack.mean() - jack
         denom = float(np.sum(deviations ** 2))
         if denom <= 0.0:

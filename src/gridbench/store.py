@@ -334,8 +334,9 @@ def reproducibility_digest(record: dict) -> str:
 
 def read_record(data: bytes, name: str) -> dict:
     """The study record in ``data``: UTF-8 JSON (else UnreadableRecord), an
-    object meeting the record schema, and a digest matching its content as
-    when the run saved it (else DigestMismatch). Errors name it ``name``."""
+    object meeting the record schema whose comparisons are all of
+    ``COMPARED_METRICS``, and a digest matching its content as when the run
+    saved it (else DigestMismatch). Errors name it ``name``."""
     try:
         record = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
@@ -346,6 +347,12 @@ def read_record(data: bytes, name: str) -> dict:
     if violations:
         raise ValidationError(f"record {name} breaks the record schema: "
                               + "; ".join(violations))
+    known = [metric for _, metric in COMPARED_METRICS]
+    unknown = [c["metric_name"] for c in record["comparison"]
+               if c["metric_name"] not in known]
+    if unknown:
+        raise ValidationError(f"record {name} compares unknown metrics {unknown}; "
+                              f"known: {', '.join(known)}")
     stored, computed = record["reproducibility_digest"], reproducibility_digest(record)
     if stored != computed:
         raise DigestMismatch(f"record {name}: reproducibility_digest {stored} does not "

@@ -35,6 +35,13 @@ def test_serialization_round_trips_through_json():
 
 def test_string_escaping():
     assert canonical_json({"k": 'a"b\\c\n'}) == '{"k":"a\\"b\\\\c\\n"}'
+    short = {"\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    for code in range(0x20):
+        ch = chr(code)
+        assert canonical_json(ch) == '"' + short.get(ch, f"\\u{code:04x}") + '"'
+        assert json.loads(canonical_json(ch)) == ch
+    assert canonical_json("\b\f") == '"\\u0008\\u000c"'
+    assert canonical_json("\x7fé") == '"\x7fé"'
 
 
 def test_sha256_hex_stable():

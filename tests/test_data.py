@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gridbench.canonical import sha256_hex
 from gridbench.data import (
     Dataset,
     FeatureDescriptor,
@@ -112,6 +113,13 @@ class TestLoadCsv:
         path = _write_manifest(tmp_path, CSV_OK)
         assert load_csv(path).content_hash == load_csv(path).content_hash
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        plain = load_csv(_write_manifest(tmp_path, CSV_OK))
+        path = _write_manifest(tmp_path, CSV_OK, name="bom")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + CSV_OK.encode("utf-8"))
+        assert load_csv(path).content_hash == plain.content_hash
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
             load_csv(tmp_path / "nope.json")
@@ -162,6 +170,15 @@ class TestDatasetInvariants:
         hashes = {base.content_hash, cell.content_hash, lab.content_hash,
                   ren.content_hash}
         assert len(hashes) == 4
+
+    def test_content_hash_is_a_canonical_csv(self):
+        ds = Dataset("x", np.array([[0.1, "a"], [-0.0, "b"]], dtype=object),
+                     np.array([1, 0]),
+                     (FeatureDescriptor("x", "numeric"),
+                      FeatureDescriptor("c", "categorical", ("a", "b"))))
+        assert ds.content_hash == sha256_hex(
+            "#desc,x,numeric,\n#desc,c,categorical,a|b\n"
+            "0.10000000000000001,a,1\n0.0,b,0")
 
     def test_features_are_immutable(self):
         ds = Dataset("x", np.array([[1.0], [2.0]], dtype=object),

@@ -88,6 +88,37 @@ class TestOneHot:
         sums = out[:, 1:].sum(axis=1)
         assert set(sums.tolist()) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("use_onehot", [True, False])
+    def test_interleaved_layout_with_an_unseen_category(self, use_onehot):
+        def dataset(rows, name):
+            labels = np.zeros(len(rows), dtype=np.int64)
+            labels[0] = 1
+            return Dataset(name, np.array(rows, dtype=object), labels,
+                           (FeatureDescriptor("proto", "categorical", ("tcp",)),
+                            FeatureDescriptor("dur", "numeric"),
+                            FeatureDescriptor("flag", "categorical", ("S",))))
+
+        train_ds = dataset([["tcp", 1.0, "S"], ["udp", 2.5, "R"], ["tcp", -3.0, "R"]],
+                           "train")
+        test_ds = dataset([["icmp", 4.0, "R"], ["udp", 0.5, "F"]], "test")
+        pipeline = fit_pipeline(train_ds, PipelineConfig(use_onehot=use_onehot,
+                                                         use_minmax=False))
+        out = apply_pipeline(pipeline, test_ds)
+        # columns: proto=tcp, proto=udp, dur, flag=S, flag=R
+        expected = np.array([[0.0, 0.0, 4.0, 0.0, 1.0],
+                             [0.0, 1.0, 0.5, 0.0, 0.0]])
+        players, numeric = pipeline.players()
+        if use_onehot:
+            assert players.tolist() == [0, 0, 1, 2, 2]
+            assert numeric.tolist() == [False, False, True, False, False]
+        else:
+            expected = expected[:, [2]]
+            assert players.tolist() == [0]
+            assert numeric.tolist() == [True]
+        assert out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        assert out.shape[1] == pipeline.output_dimension == players.size
+
     def test_onehot_disabled_drops_categoricals(self):
         ds = _mixed_dataset([(1.0, "tcp"), (2.0, "udp")])
         pipeline = fit_pipeline(ds, PipelineConfig(use_onehot=False,

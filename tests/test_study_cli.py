@@ -772,6 +772,17 @@ class TestCli:
         assert main(["validate", str(record_path)]) == 1
         assert "master_seed" in capsys.readouterr().err
 
+    def test_validate_refuses_an_unknown_compared_metric(self, tmp_path, capsys):
+        record = minimal_record()
+        record["comparison"][0]["metric_name"] = "../x"
+        record["reproducibility_digest"] = reproducibility_digest(record)
+        record_path = tmp_path / "unknown.json"
+        record_path.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["validate", str(record_path)]) == 1
+        error_line = capsys.readouterr().err.splitlines()[0]
+        assert error_line.startswith("error: ")
+        assert str(record_path) in error_line and "'../x'" in error_line
+
     def test_validate_refuses_an_edited_auc(self, tmp_path, capsys):
         fixture = Path(__file__).parent / "fixtures" / "example_record.json"
         record = json.loads(fixture.read_text(encoding="utf-8"))
@@ -809,8 +820,10 @@ class TestCli:
         assert error_line.startswith("error: ")
         assert record["reproducibility_digest"] in error_line
 
-    @pytest.mark.parametrize("content", [b"[]", b"{bad", b"\xff\xfe", None],
-                             ids=["array", "not_json", "not_utf8", "no_created_at"])
+    @pytest.mark.parametrize("content", [b"[]", b"{bad", b"\xff\xfe", "no_created_at",
+                                         "unknown_metric"],
+                             ids=["array", "not_json", "not_utf8", "no_created_at",
+                                  "unknown_metric"])
     @pytest.mark.parametrize("command", [["datasets", "list", "{store}"],
                                          ["compare", "x", "auc", "--store", "{store}"],
                                          ["report", "x", "--out", "{store}/out",
@@ -819,10 +832,15 @@ class TestCli:
     def test_record_that_is_not_an_object_exits_1(self, tmp_path, capsys, command,
                                                   content):
         store = DocumentStore(tmp_path / "studies")
-        if content is None:
-            # created_at lies outside the digest, so only the schema refuses it
+        if isinstance(content, str):
             record = minimal_record()
-            del record["created_at"]
+            if content == "no_created_at":
+                # created_at lies outside the digest, so only the schema refuses it
+                del record["created_at"]
+            else:
+                # the schema takes any name, and the digest is recomputed to match
+                record["comparison"][0]["metric_name"] = "a/b"
+                record["reproducibility_digest"] = reproducibility_digest(record)
             content = json.dumps(record).encode("utf-8")
         (store.records_dir / "x.json").write_bytes(content)
         # datasets list skips a file that does not parse
@@ -835,6 +853,8 @@ class TestCli:
         else:
             error_line = captured.err.splitlines()[0]
             assert error_line.startswith("error: ") and "'x'" in error_line
+        assert "Traceback" not in captured.err
+        assert not (store.root / "out").exists()
 
     def test_compare_unknown_metric_exits_2(self, tmp_path):
         store = DocumentStore(tmp_path / "studies")

@@ -122,24 +122,6 @@ def resolve_mode(mode: str, n_players: int) -> str:
     return mode
 
 
-def _prepare(model, x, background, mode: str) -> tuple[np.ndarray, bool, bool]:
-    """The instances as a matrix, whether ``x`` was one vector, and whether exact."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim not in (1, 2):
-        raise DimensionMismatch(f"instances must be a vector or matrix, got {X.shape}")
-    d = X.shape[-1]
-    dim = getattr(model, "input_dimension", None)
-    if dim is not None and d != dim:
-        raise DimensionMismatch(f"instance has {d} features, model wants {dim}")
-    if not isinstance(background, Background):
-        raise TypeError("background must be a Background (see sample_background)")
-    if background.rows.shape[1] != d:
-        raise DimensionMismatch(
-            f"instance has {d} features, background {background.rows.shape[1]}")
-    exact = resolve_mode(mode, background.n_players) == "exact"
-    return np.atleast_2d(X), X.ndim == 1, exact
-
-
 @lru_cache(maxsize=None)
 def _coalition_tables(g: int):
     """Coalition bits and, per player i, (S without i, S with i, Shapley weights)."""
@@ -156,9 +138,10 @@ def _coalition_tables(g: int):
 
 
 def _explain_all(models, X, background: Background, exact: bool,
-                 n_samples: int, seed: int, second=None) -> list[list[Explanation]]:
-    """Per model, the explanation of each row of X, and with ``second`` that
-    of the stack whose second level ``second`` scores the models' scores.
+                 n_samples: int, seed: int, second=None):
+    """φ as a (table, row, player) array and base values as (table, row):
+    one table per model, and with ``second`` one more for the stack whose
+    second level ``second`` scores the models' scores.
 
     All models are scored on one matrix per row: in exact mode the row's
     coalitions (a row after row 0 scores only those holding a player where
@@ -184,15 +167,14 @@ def _explain_all(models, X, background: Background, exact: bool,
             # (coalition, background, column): instance value on the coalition
             z = np.where(held[todo, None, :], x, background.rows[None, :, :]).reshape(-1, d)
             v[:, r, todo] = score(z).reshape(len(v), todo.size, -1).mean(axis=2)
-    return [[Explanation(phi=np.array([np.dot(w, v_r[with_i] - v_r[without])
-                                       for without, with_i, w in pairs]),
-                         base_value=float(v_r[0])) for v_r in v_model]
-            for v_model in v]
+    phi = np.array([[[np.dot(w, v_r[with_i] - v_r[without]) for without, with_i, w in pairs]
+                     for v_r in v_t] for v_t in v])
+    return phi, v[:, :, 0]
 
 
-def _sampled_shapley(score, X, background: Background, n_samples: int,
-                     seed: int) -> list[list[Explanation]]:
-    """Per table of ``score``, the sampled explanation of each row of X."""
+def _sampled_shapley(score, X, background: Background, n_samples: int, seed: int):
+    """Per table of ``score``, the sampled φ of each row of X as a
+    (table, row, player) array, and the base values as (table, row)."""
     d = X.shape[1]
     g = background.n_players
     bg = background.rows
@@ -204,8 +186,8 @@ def _sampled_shapley(score, X, background: Background, n_samples: int,
     switch = background.players[None, None, :] == perms.T[:, :, None]
     base = score(bg).mean(axis=1)
 
-    phis = []
-    for x in X:
+    phi = np.zeros((len(base), len(X), g))
+    for r, x in enumerate(X):
         # prefix points per permutation: start at the background row, switch
         # one player's columns at a time to the instance values
         points = np.empty((n_samples, g + 1, d), dtype=np.float64)
@@ -214,12 +196,9 @@ def _sampled_shapley(score, X, background: Background, n_samples: int,
             points[:, k + 1, :] = np.where(switch[k], x, points[:, k, :])
         scores = score(points.reshape(n_samples * (g + 1), d))
         marginals = np.diff(scores.reshape(len(base), n_samples, g + 1), axis=2)
-        phi = np.zeros((len(base), g))
-        for phi_t, marginals_t in zip(phi, marginals):
-            np.add.at(phi_t, perms.ravel(), marginals_t.ravel())
-        phis.append(phi / n_samples)
-    return [[Explanation(phi=phi[t], base_value=float(base[t])) for phi in phis]
-            for t in range(len(base))]
+        np.add.at(phi[:, r], (slice(None), perms.ravel()),
+                  marginals.reshape(len(base), -1))
+    return phi / n_samples, np.repeat(base[:, None], len(X), axis=1)
 
 
 def _explain(kinds: tuple, model, x, background: Background, mode: str,
@@ -231,25 +210,41 @@ def _explain(kinds: tuple, model, x, background: Background, mode: str,
     scores, as ``StackedEnsemble.score`` computes them; otherwise the model
     is scored whole.
     """
-    X, single, exact = _prepare(model, x, background, mode)
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim not in (1, 2):
+        raise DimensionMismatch(f"instances must be a vector or matrix, got {X.shape}")
+    d = X.shape[-1]
+    dim = getattr(model, "input_dimension", None)
+    if dim is not None and d != dim:
+        raise DimensionMismatch(f"instance has {d} features, model wants {dim}")
+    if not isinstance(background, Background):
+        raise TypeError("background must be a Background (see sample_background)")
+    if background.rows.shape[1] != d:
+        raise DimensionMismatch(
+            f"instance has {d} features, background {background.rows.shape[1]}")
+    exact = resolve_mode(mode, background.n_players) == "exact"
+    single, X = X.ndim == 1, np.atleast_2d(X)
     join = "basic_join" in kinds
     models = model.first_level if join else [model]
     second = model.second_level if join and "blackbox" in kinds else None
-    tables = _explain_all(models, X, background, exact, int(n_samples), int(seed),
-                          second)
-    results = {"blackbox": tables[-1]}
+    phi, base = _explain_all(models, X, background, exact, int(n_samples), int(seed),
+                             second)
+    results = {"blackbox": (phi[-1], base[-1])}
     if join:
         score_background = Background(model.first_level_scores(background.rows))
         # one single-row call per instance: batched rows can differ in the last bits
-        S = np.array([model.first_level_scores(row[None, :])[0] for row in X])
-        weights = shapley_explain(model.second_level, S, score_background,
-                                  mode=mode, n_samples=n_samples, seed=seed)
-        results["basic_join"] = [
-            Explanation(phi=join_attributions(
-                np.column_stack([e[r].phi for e in tables[:len(models)]]), w.phi),
-                base_value=w.base_value)
-            for r, w in enumerate(weights)]
-    return [results[kind][0] if single else results[kind] for kind in kinds]
+        S = np.array([model.first_level_scores(row[None, :])[0]
+                      for row in X]).reshape(len(X), len(models))
+        w_phi, w_base = _explain_all(
+            [model.second_level], S, score_background,
+            resolve_mode(mode, score_background.n_players) == "exact",
+            int(n_samples), int(seed))
+        results["basic_join"] = (
+            [join_attributions(np.column_stack(phi[:len(models), r]), w)
+             for r, w in enumerate(w_phi[0])], w_base[0])
+    explained = [[Explanation(phi=p, base_value=float(b)) for p, b in zip(*results[kind])]
+                 for kind in kinds]
+    return [e[0] if single else e for e in explained]
 
 
 def shapley_explain(model, x, background: Background, mode: str = "auto",

@@ -263,8 +263,9 @@ def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
     """Max observed |score(x_i)-score(x_j)| / ||x_i-x_j||_2 over instance pairs.
 
     Evaluates all pairs when n(n-1)/2 <= max_pairs, else the first
-    ``max_pairs`` distinct pairs of a seeded stream (prefixes are nested, so
-    the bound never decreases as max_pairs grows). Returns (bound, pairs).
+    ``max_pairs`` distinct pairs of a seeded stream, in draw order (prefixes
+    are nested, so the bound never decreases as max_pairs grows). Returns
+    (bound, pairs).
     """
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     n = X.shape[0]
@@ -277,20 +278,13 @@ def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
         pairs_i, pairs_j = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(derive_seed(seed, "lipschitz_pairs"))
-        chosen: dict[tuple[int, int], None] = {}
-        while len(chosen) < max_pairs:
-            draw = rng.integers(0, n, size=(max_pairs, 2))
-            for a, b in draw:
-                if a == b:
-                    continue
-                key = (int(min(a, b)), int(max(a, b)))
-                if key not in chosen:
-                    chosen[key] = None
-                    if len(chosen) == max_pairs:
-                        break
-        keys = list(chosen)
-        pairs_i = np.array([k[0] for k in keys])
-        pairs_j = np.array([k[1] for k in keys])
+        drawn = np.empty((0, 2), dtype=np.int64)  # the stream: sorted, i != j
+        first = np.empty(0, dtype=np.intp)  # where each distinct pair first occurs
+        while first.size < max_pairs:
+            draw = np.sort(rng.integers(0, n, size=(max_pairs, 2)), axis=1)
+            drawn = np.concatenate([drawn, draw[draw[:, 0] != draw[:, 1]]])
+            first = np.unique(drawn, axis=0, return_index=True)[1]
+        pairs_i, pairs_j = drawn[np.sort(first)[:max_pairs]].T
 
     dists = np.linalg.norm(X[pairs_i] - X[pairs_j], axis=1)
     valid = dists > 0

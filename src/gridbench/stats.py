@@ -93,16 +93,14 @@ def _exact_min_rank_sum_p(ranks: np.ndarray, statistic: float) -> float:
     """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=object)
+    counts = np.zeros(total + 1, dtype=np.int64)  # each count <= 2^n <= 2^25
     counts[0] = 1
     for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
+        counts[r:] = counts[r:] + counts[:counts.size - r]
     w_plus = np.arange(total + 1)
     t = 2.0 * statistic + 1e-9  # doubled-scale threshold, FP guard
     favorable = (w_plus <= t) | ((total - w_plus) <= t)
-    return float(sum(int(c) for c in counts[favorable]) / (2 ** len(ranks)))
+    return float(counts[favorable].sum() / 2 ** len(ranks))
 
 
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
@@ -196,32 +194,21 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
                                  "degenerate", int(seed))
 
     alpha = 1.0 - level
-    method = "bca"
+    method, quantiles = "percentile", (alpha / 2.0, 1.0 - alpha / 2.0)
     prop_below = float(np.mean(replicates < estimate))
-    if prop_below <= 0.0 or prop_below >= 1.0:
-        method = "percentile"
-    else:
+    if 0.0 < prop_below < 1.0:
         z0 = _NORMAL.inv_cdf(prop_below)
         # jackknife over both groups for the acceleration constant
         jack = np.concatenate([(a.sum() - a) / (a.size - 1) - b.mean(),
                                a.mean() - (b.sum() - b) / (b.size - 1)])
         deviations = jack.mean() - jack
         denom = float(np.sum(deviations ** 2))
-        if denom <= 0.0:
-            method = "percentile"
-        else:
+        if denom > 0.0:
             accel = float(np.sum(deviations ** 3) / (6.0 * denom ** 1.5))
-            z_lo = _NORMAL.inv_cdf(alpha / 2.0)
-            z_hi = _NORMAL.inv_cdf(1.0 - alpha / 2.0)
-            def adjusted(z):
-                return _NORMAL.cdf(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
-            lo_q, hi_q = adjusted(z_lo), adjusted(z_hi)
-            low = float(np.quantile(replicates, lo_q))
-            high = float(np.quantile(replicates, hi_q))
-
-    if method == "percentile":
-        low = float(np.quantile(replicates, alpha / 2.0))
-        high = float(np.quantile(replicates, 1.0 - alpha / 2.0))
+            method = "bca"
+            quantiles = [_NORMAL.cdf(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
+                         for z in map(_NORMAL.inv_cdf, quantiles)]
+    low, high = (float(q) for q in np.quantile(replicates, quantiles))
 
     low = min(low, estimate)
     high = max(high, estimate)

@@ -276,23 +276,15 @@ def capture_environment() -> EnvironmentInfo:
         warnings.warn("CPU model could not be determined")
         cpu = "unknown"
     try:
-        cores = os.cpu_count() or 0
-    except Exception:
-        cores = 0
-    try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (OSError, ValueError, AttributeError):
         warnings.warn("RAM size could not be determined")
         ram = 0
-    try:
-        os_name = f"{platform.system()} {platform.release()}"
-    except Exception:
-        os_name = "unknown"
     return EnvironmentInfo(
         cpu_model=cpu or "unknown",
-        logical_cores=int(cores),
+        logical_cores=os.cpu_count() or 0,
         ram_bytes=int(ram),
-        os=os_name or "unknown",
+        os=f"{platform.system()} {platform.release()}",
         artifact_version=__version__,
     )
 

@@ -315,7 +315,10 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
     master = config["master_seed"]
     fits, _ = _shared_work(config)
     jobs = [(i, digest) for i in range(len(prepared)) for digest in fits]
-    pool = ProcessPoolExecutor(min(os.cpu_count() or 1, len(jobs)),
+    # the CPUs this process may run on: os.cpu_count() ignores the affinity mask
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(min(cpus, len(jobs)),
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_one_blas_thread)
     try:

@@ -276,6 +276,13 @@ class TestBackgroundAndBuilder:
             with pytest.raises(ValueError):
                 build_explainer(kinds)
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_no_instances_give_no_explanations(self, stacks, mode):
+        ens, X = stacks[2]
+        for kinds in (("blackbox",), ("basic_join",), ("blackbox", "basic_join")):
+            explain = build_explainer(kinds, mode, n_samples=5)
+            assert explain(ens, X[:0], Background(X[:4])) == [[]] * len(kinds)
+
 
 # --- the per-point paths the batched engine replaced, kept as references ---
 

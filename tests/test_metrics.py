@@ -459,6 +459,27 @@ class TestBatchedRobustnessSearch:
         assert rays.rows - plain.rows == 4 * steps
 
 
+def _reference_lipschitz(model, X, max_pairs, seed):
+    """The sampled bound over a dict-and-loop ordered set of the pair stream
+    (oracle): the first ``max_pairs`` distinct sorted pairs, i != j."""
+    n = X.shape[0]
+    rng = np.random.default_rng(derive_seed(seed, "lipschitz_pairs"))
+    chosen = {}
+    while len(chosen) < max_pairs:
+        for a, b in rng.integers(0, n, size=(max_pairs, 2)):
+            key = (int(min(a, b)), int(max(a, b)))
+            if a != b and key not in chosen:
+                chosen[key] = None
+                if len(chosen) == max_pairs:
+                    break
+    i, j = np.array(list(chosen)).T
+    scores = model.score(X)
+    dists = np.linalg.norm(X[i] - X[j], axis=1)
+    valid = dists > 0
+    ratios = np.abs(scores[i[valid]] - scores[j[valid]]) / dists[valid]
+    return float(ratios.max()), int(valid.sum())
+
+
 class TestLipschitzLower:
     def test_linear_parallel_pair_attains_weight_norm(self):
         model = LinearStub([3.0, 4.0])
@@ -491,6 +512,18 @@ class TestLipschitzLower:
         model = LinearStub([1.0])
         with pytest.raises(AllInstancesIdentical):
             lipschitz_lower(model, np.ones((4, 1)))
+
+    @pytest.mark.parametrize("n, max_pairs, seed",
+                             [(5, 9, 0), (12, 30, 3), (40, 300, 7), (40, 779, 1)])
+    def test_sampled_pairs_are_the_streams_first_distinct_pairs(self, n, max_pairs,
+                                                                seed):
+        rng = np.random.default_rng(n + seed)
+        X = rng.normal(size=(n, 3))
+        X[rng.integers(0, n, size=n // 3)] = X[0]  # repeated instances
+        model = LinearStub(rng.normal(size=3))
+        assert max_pairs < n * (n - 1) // 2
+        assert lipschitz_lower(model, X, max_pairs=max_pairs, seed=seed) == \
+            _reference_lipschitz(model, X, max_pairs, seed)
 
 
 class TestSuites:

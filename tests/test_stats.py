@@ -140,6 +140,19 @@ class TestWilcoxon:
             assert got.statistic == pytest.approx(want_stat)
             assert got.p_value == pytest.approx(want_p), f"trial {trial}"
 
+    def test_exact_p_at_the_enumeration_limit_matches_scipy(self):
+        import scipy.stats
+
+        rng = np.random.default_rng(25)
+        a = rng.normal(loc=0.3, size=25)
+        b = rng.normal(size=25)
+        assert np.unique(np.abs(a - b)).size == 25  # distinct differences
+        got = wilcoxon_signed_rank(a, b)
+        want = scipy.stats.wilcoxon(a, b, method="exact")
+        assert (got.method, got.n_effective) == ("exact", 25)
+        assert got.statistic == want.statistic
+        assert abs(got.p_value - want.pvalue) < 1e-12
+
     def test_symmetry_under_swap(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=10)
@@ -267,6 +280,18 @@ class TestBootstrap:
         ci = bootstrap_ci_mean_diff(rng.normal(size=30),
                                     rng.normal(size=30), seed=3)
         assert ci.method == "bca"
+
+    def test_percentile_fallback_when_every_replicate_is_on_one_side(self):
+        a, b = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0])
+        ci = bootstrap_ci_mean_diff(a, b, n_resamples=3, seed=1)
+        assert ci.method == "percentile"
+        rng = np.random.default_rng(1)
+        idx_a = rng.integers(0, 3, size=(3, 3))
+        idx_b = rng.integers(0, 3, size=(3, 3))
+        replicates = a[idx_a].mean(axis=1) - b[idx_b].mean(axis=1)
+        estimate = a.mean() - b.mean()
+        assert ci.low == min(np.quantile(replicates, 0.025), estimate)
+        assert ci.high == max(np.quantile(replicates, 0.975), estimate)
 
     def test_bca_tracks_scipy_bootstrap(self):
         # independent route: scipy's BCa on the same data; endpoints differ

@@ -267,6 +267,19 @@ class TestRunStudy:
         serial = run_study(config, base_dir=tmp_path / "serial")
         assert forked["reproducibility_digest"] == serial["reproducibility_digest"]
 
+    def test_pool_is_sized_by_the_cpus_the_process_may_run_on(self, tmp_path,
+                                                               monkeypatch):
+        workers = []
+
+        class Recording(InlineExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                workers.append(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        run_study(tiny_config(), base_dir=tmp_path)  # 2 datasets x 2 fits
+        assert workers == [1]
+
     @pytest.mark.parametrize("same_spec, background_b", [(True, None), (False, None),
                                                         (True, 8)],
                              ids=["True", "False", "True-other_background"])

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import canonical_float, sha256_hex
+from .canonical import (_INT, _NUMBER, _STR, _fields, _obj, _violations, canonical_float,
+                        sha256_hex)
 from .errors import (
     DegenerateSplit,
     InvalidSpec,
@@ -26,10 +27,12 @@ from .errors import (
     NonBinaryLabel,
     UnknownLabelColumn,
 )
-from .store import _INT, _NUMBER, _STR, PURDUE_LEVEL_SCHEMA, _fields, _obj, _violations
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+# A dataset's Purdue-model level as a config or a manifest gives it; the
+# record keeps its own, unbounded type, which the pinned schema hash covers.
+PURDUE_LEVEL_SCHEMA = {"type": ["integer", "null"], "minimum": 0, "maximum": 5}
 
 
 @dataclass(frozen=True)

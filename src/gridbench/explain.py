@@ -25,6 +25,8 @@ from .errors import DimensionMismatch, ExactTooLarge
 from .models import StackedEnsemble
 
 EXACT_DIMENSION_LIMIT = 12
+EXPLAINER_KINDS = ("blackbox", "basic_join")
+MODES = ("auto", "exact", "sampled")
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,13 @@ def sample_background(X: np.ndarray, size: int = 100, seed: int = 0,
 def resolve_mode(mode: str, n_players: int) -> str:
     """The mode run over ``n_players`` players: "auto" is "exact" iff the count
     allows it, and "exact" beyond ``EXACT_DIMENSION_LIMIT`` raises ExactTooLarge."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if n_players <= EXACT_DIMENSION_LIMIT else "sampled"
     if mode == "exact" and n_players > EXACT_DIMENSION_LIMIT:
         raise ExactTooLarge(f"exact enumeration needs at most {EXACT_DIMENSION_LIMIT} "
                             f"players, got {n_players}")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     return mode
 
 
@@ -303,8 +305,9 @@ def build_explainer(kinds: tuple, mode: str = "auto", n_samples: int = 2000):
     for a matrix of instances. The callable is the interface every
     explanation metric consumes.
     """
-    if isinstance(kinds, str) or not set(kinds) <= {"blackbox", "basic_join"}:
-        raise ValueError(f"kinds must be a tuple of 'blackbox'/'basic_join', got {kinds!r}")
+    if isinstance(kinds, str) or not set(kinds) <= set(EXPLAINER_KINDS):
+        raise ValueError("kinds must be a tuple of "
+                         f"{'/'.join(map(repr, EXPLAINER_KINDS))}, got {kinds!r}")
 
     def explain(model, x, background, seed=0):
         return _explain(kinds, model, x, background, mode, n_samples, seed)

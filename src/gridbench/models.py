@@ -23,6 +23,7 @@ LOGREG = "logreg"
 TREE = "tree"
 MLP = "mlp"
 STACK = "stack"
+MODEL_KINDS = (LOGREG, TREE, MLP, STACK)
 
 DEFAULT_HYPERPARAMETERS = {
     LOGREG: {"learning_rate": 0.1, "epochs": 500, "l2": 1e-4},
@@ -159,19 +160,13 @@ def _train_logreg(Xs, ys, hyper, seeds):
 
 # --- CART decision tree -----------------------------------------------------
 
-def _gini(pos: float, total: float) -> float:
-    if total <= 0:
-        return 0.0
-    p = pos / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
 def _best_split(X, y):
     """Best (feature, split value), or feature -1 when no split gains; ties go
     to the lowest feature index, then the lowest split value (ascending scan,
     strictly-greater updates)."""
     n = y.size
-    parent = _gini(y.sum(), n)
+    p = y.sum() / n
+    parent = 1.0 - p ** 2 - (1.0 - p) ** 2
     best_gain, best_feature, best_value = 0.0, -1, 0.0
     for j in range(X.shape[1]):
         values = X[:, j]

@@ -10,18 +10,16 @@ not parse, breaks the schema or whose digest does not match its content.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import uuid
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
-
-from .canonical import canonical_json, sha256_hex
+from .canonical import (_INT, _NUMBER, _STR, _TYPED, _fields, _obj, _violations,
+                        canonical_json, sha256_hex)
 from .errors import (
     DigestMismatch,
     GridBenchError,
@@ -30,7 +28,10 @@ from .errors import (
     UnreadableRecord,
     ValidationError,
 )
+from .explain import EXPLAINER_KINDS, MODES
 from .metrics import ClassificationMetrics, ExplanationMetrics, RobustnessMetrics
+from .models import MODEL_KINDS
+from .preprocess import PipelineConfig
 from .stats import EFFECT_SIZE_BUCKETS, BootstrapInterval, ComparisonResult
 
 SCHEMA_VERSION = "1"
@@ -46,51 +47,6 @@ LD_CONTEXT = {
     "comparison": "https://gridbench.invalid/terms#comparisonResult",
     "environment": "https://gridbench.invalid/terms#environmentInfo",
 }
-
-_NUMBER = {"type": "number"}
-_INT = {"type": "integer"}
-_STR = {"type": "string"}
-_BOOL = {"type": "boolean"}
-
-# The JSON Schema of each annotation of a dataclass field or default's type.
-_TYPED = {
-    "int": _INT,
-    "float": _NUMBER,
-    "str": _STR,
-    "bool": _BOOL,
-    "int | None": {"type": ["integer", "null"]},
-    "float | None": {"type": ["number", "null"]},
-    "str | None": {"type": ["string", "null"]},
-    "list[float]": {"type": "array", "items": _NUMBER},
-}
-
-
-def _obj(properties: dict, required: list[str] | None = None) -> dict:
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": sorted(properties) if required is None else required,
-        "additionalProperties": False,
-    }
-
-
-def _fields(cls, **special) -> dict:
-    """The closed object of dataclass ``cls``'s fields, each typed from its
-    annotation unless ``special`` gives its schema; ``special`` may add keys."""
-    return _obj({**{f.name: _TYPED[f.type] for f in fields(cls)
-                    if f.name not in special}, **special})
-
-
-# The JSON types as canonical JSON writes them: an integer has no fraction
-# part, so 2.0 is not one, and NaN or Infinity is no number at all (the
-# stock checker accepts both, and a bound compares false with NaN).
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, x: type(x) is int,
-        "number": lambda _, x: type(x) is int or isinstance(x, float) and math.isfinite(x),
-    }))
-
 
 # Each record section that ``asdict`` of a dataclass fills has that
 # dataclass's fields as its keys.
@@ -128,14 +84,8 @@ _COMPARISON = _fields(
     effect_size_buckets=_obj(dict.fromkeys(EFFECT_SIZE_BUCKETS, _NUMBER)))
 
 # Record pieces that a study config shares: ``study.STUDY_CONFIG_SCHEMA``
-# makes their keys optional and adds ranges. The preprocessing keys stay
-# written out: ``preprocess`` imports this module (through ``data``).
-PREPROCESSING_CONFIG_SCHEMA = _obj({
-    "use_onehot": _BOOL,
-    "use_minmax": _BOOL,
-    "use_pca": _BOOL,
-    "pca_components": {"type": ["integer", "null"]},
-})
+# makes their keys optional and adds ranges.
+PREPROCESSING_CONFIG_SCHEMA = _fields(PipelineConfig)
 
 METRICS_DEFAULTS = {
     "statistics": True,
@@ -153,11 +103,8 @@ METRICS_DEFAULTS = {
 METRICS_CONFIG_SCHEMA = _obj({key: _TYPED[type(default).__name__]
                               for key, default in METRICS_DEFAULTS.items()})
 
-EXPLAINER_KIND_SCHEMA = {"enum": ["blackbox", "basic_join"]}
-EXPLAINER_MODE_SCHEMA = {"enum": ["auto", "exact", "sampled"]}
-# A dataset's Purdue-model level as a config or a manifest gives it; the
-# record keeps its own, unbounded type, which the pinned schema hash covers.
-PURDUE_LEVEL_SCHEMA = {"type": ["integer", "null"], "minimum": 0, "maximum": 5}
+EXPLAINER_KIND_SCHEMA = {"enum": list(EXPLAINER_KINDS)}
+EXPLAINER_MODE_SCHEMA = {"enum": list(MODES)}
 
 
 @dataclass(frozen=True)
@@ -200,7 +147,7 @@ STUDY_RECORD_SCHEMA = _obj({
     "models": {"type": "array", "items": _obj({
         "algorithm": _STR,
         "dataset": _STR,
-        "kind": {"enum": ["logreg", "tree", "mlp", "stack"]},
+        "kind": {"enum": list(MODEL_KINDS)},
         "hyperparameters": {"type": "object"},
         "train_seed": _INT,
         "threshold": _NUMBER,
@@ -297,18 +244,6 @@ def utc_timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-def _violations(schema: dict, document) -> list[str]:
-    """``<JSON pointer>: <message>`` for each way ``document`` breaks ``schema``."""
-    violations = []
-    for error in sorted(_Validator(schema).iter_errors(document),
-                        key=lambda e: list(map(str, e.absolute_path))):
-        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
-        if pointer == "/":
-            pointer = ""
-        violations.append(f"{pointer}: {error.message}")
-    return violations
-
-
 def validate(document: dict) -> list[str]:
     """Validate against the study-record schema; returns JSON-pointer violations."""
     return _violations(STUDY_RECORD_SCHEMA, document)
@@ -356,20 +291,23 @@ class DocumentStore:
     """Directory of schema-validated study records, one file per study.
 
     Layout: <root>/records/<study_id>.json, <root>/schema/<version>.json.
-    Each record appears through a single atomic rename, so concurrent
-    writers of different studies share no file and need no lock.
+    Only creating a store (a root without records/) lays these out; opening
+    an existing one writes nothing. Each record appears through a single
+    atomic rename, so concurrent writers of different studies share no file
+    and need no lock.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.records_dir = self.root / "records"
-        self.records_dir.mkdir(parents=True, exist_ok=True)
-        schema_dir = self.root / "schema"
-        schema_dir.mkdir(exist_ok=True)
-        schema_path = schema_dir / f"{SCHEMA_VERSION}.json"
+        if self.records_dir.is_dir():
+            return
+        schema_path = self.root / "schema" / f"{SCHEMA_VERSION}.json"
+        schema_path.parent.mkdir(parents=True, exist_ok=True)
         if not schema_path.exists():
             self._atomic_write(schema_path,
                                canonical_json(STUDY_RECORD_SCHEMA).encode("utf-8"))
+        self.records_dir.mkdir(exist_ok=True)
 
     def _atomic_write(self, path: Path, data: bytes):
         tmp = path.with_name(path.name + ".tmp")

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import canonical_json, sha256_hex
+from .canonical import (_INT, _NUMBER, _STR, _TYPED, _obj, _violations, canonical_json,
+                        sha256_hex)
 from .data import (
     SYNTHETIC_SPEC_SCHEMA,
     Dataset,
@@ -54,10 +55,6 @@ from .report import write_reports
 from .seeding import derive_seed
 from .stats import compare
 from .store import (
-    _INT,
-    _NUMBER,
-    _STR,
-    _TYPED,
     COMPARED_METRICS,
     EXPLAINER_KIND_SCHEMA,
     EXPLAINER_MODE_SCHEMA,
@@ -67,8 +64,6 @@ from .store import (
     PREPROCESSING_CONFIG_SCHEMA,
     SCHEMA_VERSION,
     DocumentStore,
-    _obj,
-    _violations,
     capture_environment,
     new_study_id,
     reproducibility_digest,
@@ -418,7 +413,7 @@ def _evaluate_dataset(index: int, prep: _Prepared, config: dict,
                 **cell,
                 "kind": model.kind,
                 "hyperparameters": model.hyperparameters,
-                "train_seed": derive_seed(master, f"train:{digest}", index),
+                "train_seed": model.train_seed,
                 "threshold": model.threshold,
                 "parameter_digest": model.parameter_digest(),
             })

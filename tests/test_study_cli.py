@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import runpy
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -886,6 +887,23 @@ class TestCli:
         assert main(["run", str(config_path)]) == 0
         assert any(env_store.glob("records/*.json"))
         assert not (tmp_path / "studies").exists()
+
+    @pytest.mark.parametrize("command", [["datasets", "list", "{store}"],
+                                         ["compare", "{id}", "sens_max", "--store", "{store}"],
+                                         ["report", "{id}", "--out", "{out}",
+                                          "--store", "{store}"]],
+                             ids=["datasets_list", "compare", "report"])
+    def test_read_commands_leave_an_existing_store_as_it_is(self, tmp_path, command):
+        store = DocumentStore(tmp_path / "studies")
+        study_id = store.save(minimal_record())
+        shutil.rmtree(store.root / "schema")
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in store.root.rglob("*")}
+        before = tree()
+        assert main([arg.format(store=store.root, id=study_id, out=tmp_path / "out")
+                     for arg in command]) == 0
+        assert tree() == before
 
     def test_datasets_list_missing_store_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "no_such_store"

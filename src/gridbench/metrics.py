@@ -190,7 +190,8 @@ class RobustnessProbe:
 
 
 def adversarial_robustness(model, x, candidates: np.ndarray,
-                           n_random_dirs: int = 4, seed: int = 0) -> RobustnessProbe:
+                           n_random_dirs: int = 4, seed: int = 0,
+                           candidate_labels: np.ndarray | None = None) -> RobustnessProbe:
     """Minimum found L2 perturbation that flips the predicted label.
 
     Directions: toward every opposite-labeled candidate (a flip is certain
@@ -198,8 +199,12 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     search capped at 10x the data's bounding-box diagonal. All directions
     advance together: each step of the expanding search and of the
     bisection, which stops at ``SEARCH_TOL``, is one ``score`` call over the
-    directions still open. The probe's ``delta`` is an upper bound on the
-    true minimal perturbation and its ``witness`` is the flipped point.
+    directions still open; a direction whose ``lo`` has reached the smallest
+    ``hi`` cannot win, so its bisection stops there. The probe's ``delta``
+    is an upper bound on the true minimal perturbation and its ``witness``
+    is the flipped point. ``candidate_labels``, when given, are the
+    candidates' predicted labels, so a caller probing many instances
+    against one candidate set scores it once.
     """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -212,8 +217,9 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     # each direction's unit and the distance of a known flip (inf: none yet)
     units: list[np.ndarray] = []
     flip_at: list[float] = []
-    cand_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
-    for c, cl in zip(candidates, cand_labels):
+    if candidate_labels is None:
+        candidate_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
+    for c, cl in zip(candidates, candidate_labels):
         if int(cl) != base_label:
             dist = float(np.linalg.norm(c - x))
             if dist > 0:
@@ -244,8 +250,10 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     if not np.isfinite(hi).any():
         raise NoFlipFound("no probed direction flipped the predicted label")
 
-    # bisect every finite [lo, hi] (no flip at lo, a flip at hi) down to SEARCH_TOL
-    while (rows := np.flatnonzero(np.isfinite(hi) & (hi - lo > SEARCH_TOL))).size:
+    # bisect every finite [lo, hi] (no flip at lo, a flip at hi) down to
+    # SEARCH_TOL, while lo is below the smallest hi: past it, hi > lo >= min(hi)
+    while (rows := np.flatnonzero(np.isfinite(hi) & (hi - lo > SEARCH_TOL)
+                                  & (lo < hi.min()))).size:
         mid = (lo[rows] + hi[rows]) / 2.0
         flipped = flips(x + mid[:, None] * U[rows])
         hi[rows[flipped]] = mid[flipped]
@@ -335,12 +343,14 @@ def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarra
                              seed: int = 0) -> RobustnessMetrics:
     """Per-instance minimal perturbations plus the dataset Lipschitz bound."""
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    labels = (model.score(candidates) >= model.threshold).astype(np.int64)
     deltas = []
     for i, x in enumerate(instances):
         try:
             deltas.append(adversarial_robustness(
                 model, x, candidates, n_random_dirs,
-                seed=derive_seed(seed, "adv", i)).delta)
+                seed=derive_seed(seed, "adv", i), candidate_labels=labels).delta)
         except NoFlipFound:
             continue
     try:

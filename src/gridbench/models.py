@@ -49,18 +49,18 @@ def _check_training_inputs(X: np.ndarray, y: np.ndarray, where: str = ""):
 
 
 class _Runs:
-    """R gradient-descent runs of one loss in lockstep, run r on rows Xs[r].
+    """R gradient-descent runs of one loss in lockstep, run r on the n_r rows
+    labelled ys[r].
 
     Per-row buffers are stacked zero-padded as (R, m, ...), m the longest run,
     and elementwise steps span the stack. Matrix products and sums over rows
-    use one run's own rows only (``Xs[r]`` or a view of its first n_r rows),
+    use one run's own rows only (its inputs, or a view of its first n_r rows),
     since padding can regroup their additions. Each run is then bit-identical
     to a lone fit; that is tested with this build's BLAS, and a BLAS whose
     sums depend on memory alignment could differ in low bits.
     """
 
-    def __init__(self, Xs, ys):
-        self.Xs = Xs
+    def __init__(self, ys):
         self.rows = [len(y) for y in ys]
         self.n = np.array(self.rows, dtype=np.float64)[:, None]
         self.y = self.stack()
@@ -144,7 +144,7 @@ class LogisticRegressionModel(TrainedModel):
 
 def _train_logreg(Xs, ys, hyper, seeds):
     lr, l2 = hyper["learning_rate"], hyper["l2"]
-    runs = _Runs(Xs, ys)
+    runs = _Runs(ys)
     w = np.zeros((len(Xs), Xs[0].shape[1]))
     b = np.zeros(len(Xs))
     g_w = np.empty_like(w)
@@ -298,64 +298,72 @@ class MLPModel(TrainedModel):
 
 
 class _MLPRuns(_Runs):
-    """_Runs with the hidden-layer buffers of width-``width`` nets."""
+    """_Runs with the hidden-layer buffers of width-``width`` nets. The first
+    layer reads [Xs[r] | 1], so its bias is the last row of its weights."""
 
     def __init__(self, Xs, ys, width):
-        super().__init__(Xs, ys)
+        super().__init__(ys)
+        self.inputs = self.stack(Xs[0].shape[1] + 1)
+        for r, x in enumerate(Xs):
+            self.inputs[r, :len(x), :-1] = x
+            self.inputs[r, :len(x), -1] = 1.0
+        self.scaled = np.empty_like(self.inputs)  # [x | 1] * dz
         self.hidden = self.stack(width)
-        self.d_hidden = self.stack(width)
         self.slope = self.stack(width)  # 1 - hidden**2
-        self.hidden_rows = self.own(self.hidden)
-        self.d_hidden_rows = self.own(self.d_hidden)
+        self.input_rows, self.scaled_rows, self.hidden_rows, self.slope_rows = map(
+            self.own, (self.inputs, self.scaled, self.hidden, self.slope))
 
     def gradients(self, params, grads):
-        """Fills grads (g_w1, g_b1, g_w2, g_b2) at params (w1, b1, w2, b2),
-        each indexed by run first."""
-        w1, b1, w2, b2 = params
-        g_w1, g_b1, g_w2, g_b2 = grads
-        for x, w1_r, h in zip(self.Xs, w1, self.hidden_rows):
+        """Fills grads (g_w1, g_w2, g_b2) at params (w1, w2, b2), each indexed
+        by run first; w1[r] is (d + 1, width), its last row the hidden bias.
+        g_w1[r] = (([x | 1] * dz)^T (1 - hidden**2)) * w2[r]: the backward
+        product leaves w2 out, so no hidden-sized delta buffer is built."""
+        w1, w2, b2 = params
+        g_w1, g_w2, g_b2 = grads
+        for x, w1_r, h in zip(self.input_rows, w1, self.hidden_rows):
             np.matmul(x, w1_r, out=h)
-        self.hidden += b1[:, None, :]
         np.tanh(self.hidden, out=self.hidden)
         self.output_step(self.hidden_rows, w2, b2, g_w2, g_b2)
-        np.multiply(self.dz[:, :, None], w2[:, None, :], out=self.d_hidden)
         np.square(self.hidden, out=self.slope)
         np.subtract(1.0, self.slope, out=self.slope)
-        self.d_hidden *= self.slope
-        for r, (x, d) in enumerate(zip(self.Xs, self.d_hidden_rows)):
-            np.matmul(x.T, d, out=g_w1[r])
-            np.add.reduce(d, axis=0, out=g_b1[r])
+        np.multiply(self.inputs, self.dz[:, :, None], out=self.scaled)
+        for r, (x_dz, s) in enumerate(zip(self.scaled_rows, self.slope_rows)):
+            np.matmul(x_dz.T, s, out=g_w1[r])
+        g_w1 *= w2[:, None, :]
 
 
 def mlp_loss_and_gradients(params: dict, X: np.ndarray, y: np.ndarray):
     """(loss, grads): the mean cross-entropy loss and the trainer's own step's
     gradients (one run). ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2
     (float); the gradients are keyed like params."""
-    keys = ("w1", "b1", "w2", "b2")
-    stacked = tuple(np.array([params[k]], dtype=np.float64) for k in keys)
+    w1 = np.vstack([params["w1"], params["b1"]])
+    stacked = tuple(np.array([p], dtype=np.float64) for p in (w1, params["w2"], params["b2"]))
     grads = tuple(np.empty_like(p) for p in stacked)
-    runs = _MLPRuns([np.asarray(X, dtype=np.float64)], [y], stacked[1].shape[1])
+    runs = _MLPRuns([np.asarray(X, dtype=np.float64)], [y], w1.shape[1])
     runs.gradients(stacked, grads)
     z = runs.logits[0]  # stable binary CE on logits: mean(softplus(z) - y*z)
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    return loss, {k: g[0] for k, g in zip(keys, grads)}
+    g_w1, g_w2, g_b2 = (g[0] for g in grads)
+    return loss, {"w1": g_w1[:-1], "b1": g_w1[-1], "w2": g_w2, "b2": g_b2}
 
 
 def _train_mlp(Xs, ys, hyper, seeds):
-    """Run r draws its init from seeds[r]: w1, then w2."""
+    """Run r draws its init from seeds[r]: w1, then w2; the hidden bias
+    starts at zero."""
     width, scale = int(hyper["hidden_width"]), hyper["init_scale"]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w1 = np.array([g.uniform(-scale, scale, size=(Xs[0].shape[1], width)) for g in rngs])
     w2 = np.array([g.uniform(-scale, scale, size=width) for g in rngs])
-    params = (w1, np.zeros((len(seeds), width)), w2, np.zeros(len(seeds)))
+    params = (np.pad(w1, ((0, 0), (0, 1), (0, 0))), w2, np.zeros(len(seeds)))
     grads = tuple(np.empty_like(p) for p in params)
     runs = _MLPRuns(Xs, ys, width)
     for _ in range(int(hyper["epochs"])):
         runs.gradients(params, grads)
         for param, grad in zip(params, grads):
             param -= hyper["learning_rate"] * grad
-    return [MLPModel(*(p[r] for p in params), train_seed=seed, hyperparameters=hyper)
-            for r, seed in enumerate(seeds)]
+    w1, w2, b2 = params
+    return [MLPModel(w1[r, :-1], w1[r, -1], w2[r], b2[r], train_seed=seed,
+                     hyperparameters=hyper) for r, seed in enumerate(seeds)]
 
 
 _TRAINERS = {LOGREG: _train_logreg, TREE: _train_tree, MLP: _train_mlp}

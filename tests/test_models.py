@@ -259,25 +259,26 @@ def _reference_logreg(X, y, hyper):
 
 
 def _reference_mlp(X, y, hyper, seed):
+    """The first layer reads [X | 1], its bias the last row of w1; the
+    backward product leaves w2 out until the end."""
     width, lr, scale = (int(hyper["hidden_width"]), hyper["learning_rate"],
                         hyper["init_scale"])
     rng = np.random.default_rng(seed)
-    w1 = rng.uniform(-scale, scale, size=(X.shape[1], width))
-    b1 = np.zeros(width)
+    w1 = np.vstack([rng.uniform(-scale, scale, size=(X.shape[1], width)),
+                    np.zeros(width)])
     w2 = rng.uniform(-scale, scale, size=width)
     b2 = 0.0
+    X1 = np.column_stack([X, np.ones(X.shape[0])])
     yf = y.astype(np.float64)
     for _ in range(int(hyper["epochs"])):
-        hidden = np.tanh(X @ w1 + b1)
+        hidden = np.tanh(X1 @ w1)
         dz = (_sigmoid(hidden @ w2 + b2) - yf) / X.shape[0]
-        d_hidden = np.outer(dz, w2) * (1.0 - hidden ** 2)
-        g_w1, g_b1 = X.T @ d_hidden, d_hidden.sum(axis=0)
+        g_w1 = ((X1 * dz[:, None]).T @ (1.0 - hidden ** 2)) * w2
         g_w2, g_b2 = hidden.T @ dz, float(dz.sum())
         w1 = w1 - lr * g_w1
-        b1 = b1 - lr * g_b1
         w2 = w2 - lr * g_w2
         b2 = b2 - lr * g_b2
-    return w1, b1, w2, b2
+    return w1[:-1], w1[-1], w2, b2
 
 
 FOLD_SHAPES = [(23, 4), (37, 3), (168, 5), (840, 2), (21, 4)]
@@ -363,17 +364,42 @@ def test_padded_runs_take_their_one_run_gradients():
     for d, width, rows in ((3, 4, (17, 23)), (16, 17, (40, 39)), (6, 16, (168, 135))):
         Xs = [rng.normal(size=(k, d)) for k in rows]
         ys = [(rng.random(k) < 0.4).astype(np.float64) for k in rows]
-        params = (rng.uniform(-0.5, 0.5, size=(2, d, width)),
-                  rng.uniform(-0.1, 0.1, size=(2, width)),
-                  rng.uniform(-0.5, 0.5, size=(2, width)), np.array([0.3, -0.2]))
+        w1 = np.concatenate([rng.uniform(-0.5, 0.5, size=(2, d, width)),
+                             rng.uniform(-0.1, 0.1, size=(2, 1, width))], axis=1)
+        params = (w1, rng.uniform(-0.5, 0.5, size=(2, width)), np.array([0.3, -0.2]))
         grads = tuple(np.empty_like(p) for p in params)
         _MLPRuns(Xs, ys, width).gradients(params, grads)
         for r in range(2):
-            one = dict(zip(("w1", "b1", "w2", "b2"), (p[r] for p in params)))
+            one = {"w1": w1[r, :-1], "b1": w1[r, -1], "w2": params[1][r],
+                   "b2": params[2][r]}
             _, expected = mlp_loss_and_gradients(one, Xs[r], ys[r])
-            for key, grad in zip(("w1", "b1", "w2", "b2"), grads):
+            got = {"w1": grads[0][r, :-1], "b1": grads[0][r, -1],
+                   "w2": grads[1][r], "b2": grads[2][r]}
+            for key, grad in got.items():
                 expected_bytes = np.asarray(expected[key]).tobytes()
-                assert grad[r].tobytes() == expected_bytes, (d, width, rows, r, key)
+                assert grad.tobytes() == expected_bytes, (d, width, rows, r, key)
+
+
+@pytest.mark.parametrize("n,d,width", [(n, 6, 16) for n, _ in FOLD_SHAPES]
+                         + [(168, 16, 17)])
+def test_gradients_match_the_hidden_delta_formula(n, d, width):
+    """The trainer's step regroups the first layer's gradient; it stays within
+    1e-12, relative to each gradient's largest entry, of the textbook form
+    d = (dz w2^T) * (1 - h**2), g_w1 = X^T d, g_b1 = sum over rows of d."""
+    X, y = _fold_data(n, seed=n, d=d)
+    rng = np.random.default_rng(n)
+    params = {"w1": rng.uniform(-0.5, 0.5, size=(d, width)),
+              "b1": rng.uniform(-0.1, 0.1, size=width),
+              "w2": rng.uniform(-0.5, 0.5, size=width), "b2": 0.3}
+    _, grads = mlp_loss_and_gradients(params, X, y)
+    hidden = np.tanh(X @ params["w1"] + params["b1"])
+    dz = (_sigmoid(hidden @ params["w2"] + params["b2"]) - y) / n
+    delta = np.outer(dz, params["w2"]) * (1.0 - hidden ** 2)
+    expected = {"w1": X.T @ delta, "b1": delta.sum(axis=0),
+                "w2": hidden.T @ dz, "b2": dz.sum()}
+    for key, want in expected.items():
+        error = np.max(np.abs(np.asarray(grads[key]) - want))
+        assert error <= 1e-12 * np.max(np.abs(want)), (key, error)
 
 
 def test_fold_ids_are_balanced_and_never_empty():

@@ -337,7 +337,8 @@ def mlp_loss_and_gradients(params: dict, X: np.ndarray, y: np.ndarray):
     gradients (one run). ``params`` holds w1 (d, h), b1 (h,), w2 (h,), b2
     (float); the gradients are keyed like params."""
     w1 = np.vstack([params["w1"], params["b1"]])
-    stacked = tuple(np.array([p], dtype=np.float64) for p in (w1, params["w2"], params["b2"]))
+    stacked = tuple(np.array([p], dtype=np.float64)
+                    for p in (w1, params["w2"], params["b2"]))
     grads = tuple(np.empty_like(p) for p in stacked)
     runs = _MLPRuns([np.asarray(X, dtype=np.float64)], [y], w1.shape[1])
     runs.gradients(stacked, grads)

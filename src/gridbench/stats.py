@@ -22,6 +22,9 @@ _NORMAL = NormalDist()
 
 # Anchor values 0.2 / 0.5 / 0.8; buckets cut at the midpoints.
 EFFECT_SIZE_BUCKETS = {"small_max": 0.35, "medium_max": 0.65}
+EFFECT_LABELS = ("small", "medium", "large")
+WILCOXON_METHODS = ("exact", "normal_approximation")
+BOOTSTRAP_METHODS = ("bca", "percentile", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class WilcoxonResult:
     statistic: float
     p_value: float
     n_effective: int
-    method: str  # "exact" | "normal_approximation"
+    method: str  # one of WILCOXON_METHODS
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class BootstrapInterval:
     high: float
     level: float
     n_resamples: int
-    method: str  # "bca" | "percentile" | "degenerate"
+    method: str  # one of BOOTSTRAP_METHODS
     seed: int
 
 
@@ -50,7 +53,7 @@ class ComparisonResult:
     wilcoxon_incomputable: str | None
     cohens_d: float | None
     cohens_d_incomputable: str | None
-    effect_label: str | None
+    effect_label: str | None  # one of EFFECT_LABELS
     bootstrap_ci: BootstrapInterval
 
     def to_dict(self) -> dict:

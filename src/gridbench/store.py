@@ -32,7 +32,8 @@ from .explain import EXPLAINER_KINDS, MODES
 from .metrics import ClassificationMetrics, ExplanationMetrics, RobustnessMetrics
 from .models import MODEL_KINDS
 from .preprocess import PipelineConfig
-from .stats import EFFECT_SIZE_BUCKETS, BootstrapInterval, ComparisonResult
+from .stats import (BOOTSTRAP_METHODS, EFFECT_LABELS, EFFECT_SIZE_BUCKETS,
+                    WILCOXON_METHODS, BootstrapInterval, ComparisonResult)
 
 SCHEMA_VERSION = "1"
 
@@ -68,16 +69,16 @@ _WILCOXON = _obj({
     "statistic": {"type": ["number", "null"]},
     "p_value": {"type": ["number", "null"]},
     "n_effective": {"type": ["integer", "null"]},
-    "method": {"enum": ["exact", "normal_approximation", None]},
+    "method": {"enum": [*WILCOXON_METHODS, None]},
 })
 
 _BOOTSTRAP = _fields(BootstrapInterval,
-                     method={"enum": ["bca", "percentile", "degenerate"]})
+                     method={"enum": list(BOOTSTRAP_METHODS)})
 
 _COMPARISON = _fields(
     ComparisonResult,
     wilcoxon=_WILCOXON,
-    effect_label={"enum": ["small", "medium", "large", None]},
+    effect_label={"enum": [*EFFECT_LABELS, None]},
     bootstrap_ci=_BOOTSTRAP,
     a_values=_TYPED["list[float]"],
     b_values=_TYPED["list[float]"],

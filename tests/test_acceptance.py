@@ -3,6 +3,9 @@ tolerance, printing one PASS line (run with ``pytest tests/test_acceptance.py -v
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -374,3 +377,20 @@ def test_numeric_only_study_keeps_its_digest(tmp_path):
         "the numeric-only study digest changed; a declared digest break must "
         "update TINY_CONFIG_DIGEST in the same change")
     _report("numeric-only tiny study: digest pinned")
+
+
+def test_tiny_study_digest_holds_in_a_fresh_interpreter(tmp_path):
+    """One BLAS thread and a fixed hash seed reproduce the pinned digest."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "7",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    child = ("import json, sys\n"
+             "from gridbench.study import run_study\n"
+             "record = run_study(json.loads(sys.argv[1]), base_dir=sys.argv[2])\n"
+             "print(record['reproducibility_digest'])\n")
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(tiny_config()),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip() == TINY_CONFIG_DIGEST
+    _report("tiny study in a fresh interpreter (OPENBLAS_NUM_THREADS=1, "
+            "PYTHONHASHSEED=7): digest pinned")

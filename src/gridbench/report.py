@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptySamples
 from .seeding import derive_seed
+from .stats import WILCOXON_METHODS
 from .store import COMPARED_METRICS
 
 SWARM_RADIUS = 4.0
@@ -220,7 +221,7 @@ def statistics_line(comp: dict) -> str:
         wilcoxon = comp["wilcoxon"]
         n = wilcoxon["n_effective"]
         w_text = f"W={_fmt(wilcoxon['statistic'])} p={_fmt(wilcoxon['p_value'])}"
-        if wilcoxon["method"] == "exact":
+        if wilcoxon["method"] == WILCOXON_METHODS[0]:  # the exact test
             w_text += f" min_p={_fmt(min(1.0, 2.0 ** (1 - n)))}"
         w_text += f" n_eff={n} [{wilcoxon['method']}]"
     if comp.get("cohens_d_incomputable"):

@@ -25,6 +25,10 @@ EFFECT_SIZE_BUCKETS = {"small_max": 0.35, "medium_max": 0.65}
 EFFECT_LABELS = ("small", "medium", "large")
 WILCOXON_METHODS = ("exact", "normal_approximation")
 BOOTSTRAP_METHODS = ("bca", "percentile", "degenerate")
+# the functions below return these names, so each vocabulary is written once
+_SMALL, _MEDIUM, _LARGE = EFFECT_LABELS
+_EXACT, _NORMAL_APPROXIMATION = WILCOXON_METHODS
+_BCA, _PERCENTILE, _DEGENERATE = BOOTSTRAP_METHODS
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
 
     if n <= EXACT_ENUMERATION_LIMIT:
         p = _exact_min_rank_sum_p(ranks, statistic)
-        method = "exact"
+        method = _EXACT
     else:
         mean = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
@@ -139,7 +143,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
             raise AllPairsTied("tie correction removed all variance")
         z = (statistic - mean + 0.5) / np.sqrt(var)
         p = 2.0 * _NORMAL.cdf(z)
-        method = "normal_approximation"
+        method = _NORMAL_APPROXIMATION
     return WilcoxonResult(statistic=statistic, p_value=min(1.0, p),
                           n_effective=int(n), method=method)
 
@@ -162,10 +166,10 @@ def effect_label(d: float) -> str:
     """Bucket |d| by the midpoints between the 0.2/0.5/0.8 anchors."""
     magnitude = abs(d)
     if magnitude <= EFFECT_SIZE_BUCKETS["small_max"]:
-        return "small"
+        return _SMALL
     if magnitude < EFFECT_SIZE_BUCKETS["medium_max"]:
-        return "medium"
-    return "large"
+        return _MEDIUM
+    return _LARGE
 
 
 def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
@@ -194,10 +198,10 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
 
     if np.all(replicates == replicates[0]) and replicates[0] == estimate:
         return BootstrapInterval(estimate, estimate, level, n_resamples,
-                                 "degenerate", int(seed))
+                                 _DEGENERATE, int(seed))
 
     alpha = 1.0 - level
-    method, quantiles = "percentile", (alpha / 2.0, 1.0 - alpha / 2.0)
+    method, quantiles = _PERCENTILE, (alpha / 2.0, 1.0 - alpha / 2.0)
     prop_below = float(np.mean(replicates < estimate))
     if 0.0 < prop_below < 1.0:
         z0 = _NORMAL.inv_cdf(prop_below)
@@ -208,7 +212,7 @@ def bootstrap_ci_mean_diff(a, b, level: float = 0.95, n_resamples: int = 5000,
         denom = float(np.sum(deviations ** 2))
         if denom > 0.0:
             accel = float(np.sum(deviations ** 3) / (6.0 * denom ** 1.5))
-            method = "bca"
+            method = _BCA
             quantiles = [_NORMAL.cdf(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
                          for z in map(_NORMAL.inv_cdf, quantiles)]
     low, high = (float(q) for q in np.quantile(replicates, quantiles))

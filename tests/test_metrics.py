@@ -322,8 +322,13 @@ class TestAdversarialRobustness:
         assert got == pytest.approx(0.2, abs=1e-4)
 
 
-def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6):
-    """Direction-by-direction search with single-row score calls (oracle)."""
+def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6,
+                     intervals=None):
+    """Direction-by-direction search with single-row score calls (oracle).
+
+    Each direction is bisected to the end; when ``intervals`` is a list, the
+    (lo, hi) sequence of every bisected direction is appended to it.
+    """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     base_label = int(model.score(x[None, :])[0] >= model.threshold)
@@ -361,17 +366,36 @@ def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6):
             lo, hi = prev, flip_at
         else:
             lo, hi = 0.0, known_flip
+        steps = [(lo, hi)]
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if flips(mid, unit):
                 hi = mid
             else:
                 lo = mid
+            steps.append((lo, hi))
+        if intervals is not None:
+            intervals.append(steps)
         if best is None or hi < best.delta:
             best = RobustnessProbe(delta=float(hi), witness=x + hi * unit)
     if best is None:
         raise NoFlipFound("no probed direction flipped the predicted label")
     return best
+
+
+def _lockstep_skipped_rows(intervals):
+    """Bisection rows a lockstep search skips over the oracle's sequences:
+    each round, a direction takes its next step only while its lo is below
+    the smallest hi of the round."""
+    taken = [0] * len(intervals)
+    while True:
+        min_hi = min(seq[k][1] for seq, k in zip(intervals, taken))
+        moving = [i for i, (seq, k) in enumerate(zip(intervals, taken))
+                  if k + 1 < len(seq) and seq[k][0] < min_hi]
+        if not moving:
+            return sum(len(seq) - 1 for seq in intervals) - sum(taken)
+        for i in moving:
+            taken[i] += 1
 
 
 class _CountingModel:
@@ -413,16 +437,21 @@ class TestBatchedRobustnessSearch:
         X_train, _, X_test, _ = blob_matrices
         model = trained_stack if kind == "stack" else trained_models[kind]
         batched, reference = _CountingModel(model), _CountingModel(model)
+        skipped = 0
         for i, x in enumerate(X_test[:6]):
             probe = adversarial_robustness(batched, x, X_train,
                                            n_random_dirs=4, seed=i)
+            intervals = []
             oracle = _reference_probe(reference, x, X_train,
-                                      n_random_dirs=4, seed=i)
+                                      n_random_dirs=4, seed=i,
+                                      intervals=intervals)
             assert probe.delta == oracle.delta
             assert np.array_equal(probe.witness, oracle.witness)
+            skipped += _lockstep_skipped_rows(intervals)
         # the oracle bisects every direction to the end; the search stops a
-        # direction once it cannot win, so it scores fewer rows
-        assert batched.rows < reference.rows
+        # direction once its lo reaches the smallest hi
+        assert skipped > 0
+        assert batched.rows == reference.rows - skipped
         assert batched.calls * 10 <= reference.calls
 
     def test_no_directions_raises(self):

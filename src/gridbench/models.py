@@ -34,9 +34,11 @@ DEFAULT_HYPERPARAMETERS = {
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    denom = 1.0 + e
-    return np.where(z >= 0, 1.0 / denom, e / denom)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)  # exp(-|z|) never overflows
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
+    return out
 
 
 def _check_training_inputs(X: np.ndarray, y: np.ndarray, where: str = ""):
@@ -228,7 +230,8 @@ class DecisionTreeModel(TrainedModel):
     """CART tree as preorder node arrays: split feature and split value, left
     and right child, and the node's training-label mean. Rows with
     ``x[feature] <= split_value`` go left. A leaf routes to itself, so every
-    row can take the same number of steps."""
+    row can take the same number of steps. ``_child[2 * i + 1]`` is node i's
+    left child and ``_child[2 * i]`` its right one, so a step is one gather."""
 
     kind = TREE
 
@@ -240,6 +243,7 @@ class DecisionTreeModel(TrainedModel):
         self.right = right
         self.value = value
         self._depth = depth
+        self._child = np.column_stack([right, left]).ravel()
 
     def score(self, X):
         """Descends all rows together, one tree level per step."""
@@ -249,7 +253,7 @@ class DecisionTreeModel(TrainedModel):
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self._depth):
             go_left = flat[row_start + self.feature[node]] <= self.split_value[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+            node = self._child[2 * node + go_left]
         return self.value[node]
 
     def _parameter_tokens(self):

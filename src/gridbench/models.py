@@ -8,6 +8,8 @@ values in [0, 1]; labels threshold the score at 0.5.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .canonical import canonical_float, sha256_hex
@@ -397,11 +399,15 @@ class StackedEnsemble(TrainedModel):
 
     kind = STACK
 
-    def __init__(self, first_level, second_level, fold_assignment, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, plan: StackPlan, first_level, second_level):
+        super().__init__(plan.X.shape[1], plan.seed, {
+            "first_level": [{"kind": kind, "hyper": hyper} for kind, hyper in plan.members],
+            "second_level": {"kind": second_level.kind,
+                             "hyper": second_level.hyperparameters},
+            "folds": plan.folds})
         self.first_level = list(first_level)
         self.second_level = second_level
-        self.fold_assignment = np.asarray(fold_assignment, dtype=np.int64)
+        self.fold_assignment = plan.assignment
 
     def first_level_scores(self, X) -> np.ndarray:
         X = self._check_dim(X)
@@ -432,17 +438,22 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def train_stack(first_specs, second_spec, X, y, folds: int = 5,
-                seed: int = 0) -> StackedEnsemble:
-    """Train a stacking ensemble with an out-of-fold second level.
+class StackPlan(NamedTuple):
+    """A stack's checked inputs and seeded fold assignment: all that its
+    member jobs and second level read. ``members`` holds (kind, merged hyper)."""
 
-    ``first_specs`` is a list of (kind, hyper); ``second_spec`` one
-    (kind, hyper). First-level models train on all rows; the second level
-    trains on out-of-fold first-level scores to avoid leakage. Fold
-    assignment is seeded and recorded on the ensemble. One call trains a
-    member's fold fits; logreg and MLP fold fits share one gradient-descent
-    loop, each bit-identical to a separate fit.
-    """
+    members: list
+    second: tuple
+    X: np.ndarray
+    y: np.ndarray
+    assignment: np.ndarray
+    folds: int
+    seed: int
+
+
+def plan_stack(first_specs, second_spec, X, y, folds: int = 5,
+               seed: int = 0) -> StackPlan:
+    """Check a stack's inputs and assign its folds, before any fit."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_training_inputs(X, y)
@@ -450,38 +461,53 @@ def train_stack(first_specs, second_spec, X, y, folds: int = 5,
         raise FoldTooSmall(f"folds={folds} invalid for {X.shape[0]} rows")
     if len(first_specs) < 1:
         raise ValueError("need at least one first-level model")
-
-    merged = [_merged_hyper(kind, hyper) for kind, hyper in first_specs]
+    members = [(kind, _merged_hyper(kind, hyper)) for kind, hyper in first_specs]
     assignment = _stratified_folds(y, folds, derive_seed(seed, "stack.folds"))
-    fold_X, fold_y = zip(*[(X[assignment != f], y[assignment != f]) for f in range(folds)])
     for f in range(folds):  # the first member would train on it first
-        _check_training_inputs(fold_X[f], fold_y[f], f"fold {f} of {folds}, "
-                               f"first-level member 0 ({first_specs[0][0]}): ")
+        _check_training_inputs(X[assignment != f], y[assignment != f],
+                               f"fold {f} of {folds}, first-level member 0 "
+                               f"({first_specs[0][0]}): ")
+    return StackPlan(members, tuple(second_spec), X, y, assignment, int(folds), int(seed))
 
-    oof = np.zeros((X.shape[0], len(first_specs)), dtype=np.float64)
-    for i, (kind, _) in enumerate(first_specs):  # one call trains all folds
-        seeds = [derive_seed(seed, f"stack.oof.{f}", i) for f in range(folds)]
-        models = _TRAINERS[kind](fold_X, fold_y, merged[i], seeds)
-        for f, model in enumerate(models):
-            oof[assignment == f, i] = model.score(X[assignment == f])
 
-    first_level = [
-        train(kind, X, y, hyper, derive_seed(seed, "stack.first", i))
-        for i, (kind, hyper) in enumerate(first_specs)
-    ]
-    second_kind, second_hyper = second_spec
-    second_level = train(second_kind, oof, y, second_hyper,
-                         derive_seed(seed, "stack.second"))
+def stack_member_scores(plan: StackPlan, i: int) -> np.ndarray:
+    """Member i's out-of-fold score column, from one trainer call over all
+    folds; logreg and MLP fold fits share one gradient-descent loop."""
+    kind, hyper = plan.members[i]
+    held_out = [plan.assignment == f for f in range(plan.folds)]
+    seeds = [derive_seed(plan.seed, f"stack.oof.{f}", i) for f in range(plan.folds)]
+    models = _TRAINERS[kind]([plan.X[~rows] for rows in held_out],
+                             [plan.y[~rows] for rows in held_out], hyper, seeds)
+    column = np.empty(plan.y.size)
+    for rows, model in zip(held_out, models):
+        column[rows] = model.score(plan.X[rows])
+    return column
 
-    hyper_map = {
-        "first_level": [{"kind": k, "hyper": first_level[i].hyperparameters}
-                        for i, (k, _) in enumerate(first_specs)],
-        "second_level": {"kind": second_kind,
-                         "hyper": second_level.hyperparameters},
-        "folds": int(folds),
-    }
-    return StackedEnsemble(
-        first_level, second_level, assignment,
-        input_dimension=X.shape[1], train_seed=int(seed),
-        hyperparameters=hyper_map,
-    )
+
+def stack_member_fit(plan: StackPlan, i: int) -> TrainedModel:
+    kind, hyper = plan.members[i]
+    return train(kind, plan.X, plan.y, hyper, derive_seed(plan.seed, "stack.first", i))
+
+
+def stack_second_level(plan: StackPlan, columns) -> TrainedModel:
+    kind, hyper = plan.second
+    return train(kind, np.column_stack(columns), plan.y, hyper,
+                 derive_seed(plan.seed, "stack.second"))
+
+
+def train_stack(first_specs, second_spec, X, y, folds: int = 5,
+                seed: int = 0) -> StackedEnsemble:
+    """Train a stacking ensemble with an out-of-fold second level.
+
+    ``first_specs`` is a list of (kind, hyper); ``second_spec`` one
+    (kind, hyper). First-level models train on all rows; the second level
+    trains on out-of-fold first-level scores to avoid leakage. Fold
+    assignment is seeded and recorded on the ensemble. Each step after
+    ``plan_stack`` is a pure function of the plan, so a pool may run the
+    member steps in any order.
+    """
+    plan = plan_stack(first_specs, second_spec, X, y, folds, seed)
+    members = range(len(plan.members))
+    columns = [stack_member_scores(plan, i) for i in members]
+    return StackedEnsemble(plan, [stack_member_fit(plan, i) for i in members],
+                           stack_second_level(plan, columns))

@@ -21,6 +21,7 @@ slots that also explain against the same background size, mode and
 
 from __future__ import annotations
 
+import collections
 import os
 import time
 from contextlib import contextmanager
@@ -49,7 +50,8 @@ from .metrics import (
     explanation_metrics_suite,
     robustness_metrics_suite,
 )
-from .models import DEFAULT_HYPERPARAMETERS, train, train_stack
+from .models import (DEFAULT_HYPERPARAMETERS, StackedEnsemble, plan_stack,
+                     stack_member_fit, stack_member_scores, stack_second_level, train)
 from .preprocess import FittedPipeline, PipelineConfig, apply_pipeline, fit_pipeline
 from .report import write_reports
 from .seeding import derive_seed
@@ -214,11 +216,6 @@ def _build_dataset(entry: dict, index: int, master_seed: int,
 
 
 def _train_algorithm(model_spec: dict, X, y, seed: int):
-    if "stack" in model_spec:
-        stack = model_spec["stack"]
-        first = [(m["kind"], m.get("hyper", {})) for m in stack["first_level"]]
-        second = (stack["second_level"]["kind"], stack["second_level"].get("hyper", {}))
-        return train_stack(first, second, X, y, folds=stack.get("folds", 5), seed=seed)
     return train(model_spec["kind"], X, y, model_spec.get("hyper", {}), seed=seed)
 
 
@@ -285,23 +282,36 @@ def _one_blas_thread():
             setter(1)
 
 
-def _timed_train(model_spec: dict, X, y, seed: int):
-    """Train one model spec in a worker; the time covers training alone."""
+def _train_job(step, *args):
+    """One training-pool job: ``step(*args)`` and the worker seconds it took."""
     t0 = time.perf_counter()
-    model = _train_algorithm(model_spec, X, y, seed)
-    return model, time.perf_counter() - t0
+    result = step(*args)
+    return result, time.perf_counter() - t0
+
+
+def _estimate(spec: dict, rows: int, columns: int) -> int:
+    """The static cost the pool orders its jobs by: rows x epochs (x hidden
+    width for an MLP), and rows x depth x columns for a tree."""
+    hyper = {**DEFAULT_HYPERPARAMETERS[spec["kind"]], **spec.get("hyper", {})}
+    if spec["kind"] == "tree":
+        return rows * hyper["max_depth"] * columns
+    return rows * hyper["epochs"] * hyper.get("hidden_width", 1)
 
 
 def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
     """Train each of ``_shared_work``'s fits once per dataset, in parallel.
 
-    The workers are forked, so they inherit the calling process's modules
-    as they are (patched names included) and start without re-importing.
-    A fork copies only the calling thread, so a caller must not run other
-    threads that could hold a lock the workers need. Returns
-    ``{(index, digest): (model, train_time)}``. A worker's error is
-    re-raised here with the notes of the first slot that names the model
-    and of its dataset; jobs not yet started are cancelled.
+    A plain fit is one job. A stack is planned here; each member's fold
+    batch and full-data fit is a job, and its second level a job once all
+    its out-of-fold columns are in. The jobs go to the pool longest first
+    by ``_estimate``. The workers are forked, so they inherit the calling
+    process's modules as they are (patched names included) and start
+    without re-importing. A fork copies only the calling thread, so a
+    caller must not run other threads that could hold a lock the workers
+    need. Returns ``{(index, digest): (model, train_time)}``, the time
+    summing the fit's job seconds. An error is re-raised here with the
+    notes of the first slot that names the model and of its dataset; jobs
+    not yet started are cancelled.
     """
     # Imported here: the pool modules add to every ``import gridbench``.
     import multiprocessing
@@ -309,7 +319,30 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
 
     master = config["master_seed"]
     fits, _ = _shared_work(config)
-    jobs = [(i, digest) for i in range(len(prepared)) for digest in fits]
+    keys = [(i, digest) for i in range(len(prepared)) for digest in fits]
+    notes = {(i, digest): (_slot_note(fits[digest][0], config),
+                           _dataset_note(i, config["datasets"][i])) for i, digest in keys}
+    plans, jobs = {}, []  # jobs: (estimate, key, step, member, args)
+    for i, digest in keys:
+        spec = config[fits[digest][0]]["model"]
+        seed = derive_seed(master, f"train:{digest}", i)
+        X, y = prepared[i].X_train, prepared[i].pair.train.labels
+        if "stack" not in spec:
+            jobs.append((_estimate(spec, *X.shape), (i, digest), _train_algorithm, 0,
+                         (spec, X, y, seed)))
+            continue
+        stack = spec["stack"]
+        with _noted(*notes[i, digest]):
+            plan = plans[i, digest] = plan_stack(
+                [(member["kind"], member.get("hyper", {})) for member in stack["first_level"]],
+                (stack["second_level"]["kind"], stack["second_level"].get("hyper", {})),
+                X, y, folds=stack.get("folds", 5), seed=seed)
+        for m, member in enumerate(stack["first_level"]):  # a row is in folds - 1 fold fits
+            jobs += [(_estimate(member, (plan.folds - 1) * len(y), X.shape[1]),
+                      (i, digest), stack_member_scores, m, (plan, m)),
+                     (_estimate(member, *X.shape), (i, digest), stack_member_fit, m,
+                      (plan, m))]
+    jobs.sort(key=lambda job: -job[0])  # stable: ties keep the dataset order
     # the CPUs this process may run on: os.cpu_count() ignores the affinity mask
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -317,15 +350,26 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_one_blas_thread)
     try:
-        futures = [pool.submit(_timed_train, config[fits[digest][0]]["model"],
-                               prepared[i].X_train, prepared[i].pair.train.labels,
-                               derive_seed(master, f"train:{digest}", i))
-                   for i, digest in jobs]
+        futures = [pool.submit(_train_job, step, *args) for *_, step, _, args in jobs]
+        done, seconds, second = collections.defaultdict(dict), collections.Counter(), {}
+        for (_, key, step, m, _), future in zip(jobs, futures):
+            with _noted(*notes[key]):
+                done[key, step][m], job_seconds = future.result()
+            seconds[key] += job_seconds
+            columns = done[key, stack_member_scores]
+            if step is stack_member_scores and len(columns) == len(plans[key].members):
+                second[key] = pool.submit(_train_job, stack_second_level, plans[key],
+                                          [columns[j] for j in range(len(columns))])
         trained = {}
-        for (i, digest), future in zip(jobs, futures):
-            with _noted(_slot_note(fits[digest][0], config),
-                        _dataset_note(i, config["datasets"][i])):
-                trained[i, digest] = future.result()
+        for key in keys:
+            if key not in plans:
+                trained[key] = (done[key, _train_algorithm][0], seconds[key])
+                continue
+            with _noted(*notes[key]):
+                second_level, job_seconds = second[key].result()
+            fitted = done[key, stack_member_fit]
+            trained[key] = (StackedEnsemble(plans[key], [fitted[j] for j in range(len(fitted))],
+                                            second_level), seconds[key] + job_seconds)
         return trained
     finally:
         pool.shutdown(cancel_futures=True)

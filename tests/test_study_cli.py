@@ -20,7 +20,9 @@ from gridbench.cli import main
 from gridbench.errors import GridBenchError, InvalidConfig, SingleClassTrainingSet
 from gridbench.explain import build_explainer
 from gridbench.metrics import explanation_metrics_suite
-from gridbench.models import DecisionTreeModel, LogisticRegressionModel, MLPModel
+from gridbench.models import (DecisionTreeModel, LogisticRegressionModel, MLPModel, train,
+                              train_stack)
+from gridbench.seeding import derive_seed
 from gridbench.store import DocumentStore, reproducibility_digest, validate
 from gridbench.study import run_study, validate_config
 from record_fixture import minimal_record
@@ -107,6 +109,51 @@ def shared_stack_config():
 
 def no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
+
+
+# Stand-in training steps. A training job pickles its step by name, so a
+# step patched in for a forked worker must be a module-level function.
+
+def single_class(*args, **kwargs):
+    raise SingleClassTrainingSet("training labels hold one class")
+
+
+def worker_blas_threads(*args):
+    """The BLAS thread count of the process it runs in."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()
+
+
+def job_estimate(step, args):
+    """The cost estimate a training job should be ordered by (oracle):
+    rows trained x epochs (x hidden width for an MLP), and rows x depth x
+    columns for a tree."""
+    if step is gridbench.study._train_algorithm:
+        spec, X = args[0], args[1]
+        kind = spec["kind"]
+        hyper = {**gridbench.models.DEFAULT_HYPERPARAMETERS[kind], **spec.get("hyper", {})}
+        rows = X.shape[0]
+    else:
+        plan, member = args
+        kind, hyper = plan.members[member]
+        X = plan.X
+        folds = len(np.unique(plan.assignment))
+        rows = X.shape[0] * ((folds - 1) if step is gridbench.study.stack_member_scores else 1)
+    if kind == "tree":
+        return rows * hyper["max_depth"] * X.shape[1]
+    return rows * hyper["epochs"] * hyper.get("hidden_width", 1)
+
+
+def two_stacks_config():
+    """``tiny_config`` with a different stack in each slot, one with an MLP."""
+    config = tiny_config()
+    config["algorithm_a"].update(name="mlp-stack", model={"stack": {
+        "first_level": [{"kind": "mlp", "hyper": {"epochs": 60}},
+                        {"kind": "tree", "hyper": {"max_depth": 3}}],
+        "second_level": {"kind": "logreg", "hyper": {"epochs": 50}},
+        "folds": 4}})
+    return config
 
 
 def no_building(*args, **kwargs):
@@ -281,15 +328,80 @@ class TestRunStudy:
         run_study(tiny_config(), base_dir=tmp_path)  # 2 datasets x 2 fits
         assert workers == [1]
 
+    @pytest.mark.parametrize("make_config", [tiny_config, two_stacks_config])
+    def test_pool_trained_fits_equal_serial_training(self, make_config, tmp_path):
+        config = validate_config(make_config())
+        prepared = [gridbench.study._prepare_dataset(i, entry, config, tmp_path)
+                    for i, entry in enumerate(config["datasets"])]
+        fits, _ = gridbench.study._shared_work(config)
+        trained = gridbench.study._train_models(config, prepared)
+        assert list(trained) == [(i, digest) for i in range(2) for digest in fits]
+        for (i, digest), (model, train_time) in trained.items():
+            spec = config[fits[digest][0]]["model"]
+            X, y = prepared[i].X_train, prepared[i].pair.train.labels
+            seed = derive_seed(config["master_seed"], f"train:{digest}", i)
+            if "stack" in spec:
+                stack = spec["stack"]
+                serial = train_stack(
+                    [(m["kind"], m.get("hyper", {})) for m in stack["first_level"]],
+                    (stack["second_level"]["kind"], stack["second_level"].get("hyper", {})),
+                    X, y, folds=stack["folds"], seed=seed)
+                assert np.array_equal(model.fold_assignment, serial.fold_assignment)
+            else:
+                serial = train(spec["kind"], X, y, spec.get("hyper", {}), seed=seed)
+            assert model.parameter_digest() == serial.parameter_digest()
+            assert (model.hyperparameters, model.train_seed) == \
+                (serial.hyperparameters, serial.train_seed)
+            assert train_time > 0
+
+    @pytest.mark.parametrize("make_config", [tiny_config, two_stacks_config])
+    def test_jobs_go_longest_first_then_the_second_levels(self, make_config, tmp_path,
+                                                          monkeypatch):
+        submitted = []
+
+        class Recording(InlineExecutor):
+            def submit(self, fn, step, *args):
+                submitted.append((step, args))
+                return super().submit(fn, step, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = validate_config(make_config())
+        prepared = [gridbench.study._prepare_dataset(i, entry, config, tmp_path)
+                    for i, entry in enumerate(config["datasets"])]
+        gridbench.study._train_models(config, prepared)
+
+        models = [config[slot]["model"] for slot in ("algorithm_a", "algorithm_b")]
+        members = sum(len(m["stack"]["first_level"]) for m in models if "stack" in m)
+        stacks = sum("stack" in m for m in models)
+        first_wave = 2 * len(prepared) * members + len(prepared) * (2 - stacks)
+        assert collections.Counter(step.__name__ for step, _ in submitted[:first_wave]) == \
+            collections.Counter(_train_algorithm=len(prepared) * (2 - stacks),
+                                stack_member_scores=len(prepared) * members,
+                                stack_member_fit=len(prepared) * members)
+        estimates = [job_estimate(step, args) for step, args in submitted[:first_wave]]
+        assert estimates == sorted(estimates, reverse=True)
+        assert estimates[0] > estimates[-1]
+        assert [step for step, _ in submitted[first_wave:]] == \
+            [gridbench.study.stack_second_level] * (len(prepared) * stacks)
+
     @pytest.mark.parametrize("same_spec, background_b", [(True, None), (False, None),
                                                         (True, 8)],
                              ids=["True", "False", "True-other_background"])
     def test_one_fit_per_dataset_and_model_spec(self, same_spec, background_b,
                                                 tmp_path, monkeypatch):
-        # shared memory: training runs in forked workers
+        # each training job is one _train_job call, counted by step as the
+        # forked pool is handed it
+        jobs = collections.Counter()
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, step, *args):
+                assert fn is gridbench.study._train_job
+                jobs[step.__name__] += 1
+                return super().submit(fn, step, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         calls = {name: multiprocessing.Value("i", 0)
-                 for name in ("_train_algorithm", "robustness_metrics_suite",
-                              "explanation_metrics_suite")}
+                 for name in ("robustness_metrics_suite", "explanation_metrics_suite")}
         for name, count in calls.items():
             original = getattr(gridbench.study, name)
 
@@ -310,9 +422,14 @@ class TestRunStudy:
         passes = 1 if same_spec and not background_b else 2
         n_datasets = len(config["datasets"])
         assert {name: count.value for name, count in calls.items()} == \
-            {"_train_algorithm": fits * n_datasets,
-             "robustness_metrics_suite": fits * n_datasets,
+            {"robustness_metrics_suite": fits * n_datasets,
              "explanation_metrics_suite": passes * n_datasets}
+        # the stack has 2 members: each a fold batch and a full fit, then
+        # one second level; the plain logreg is one job
+        assert jobs == collections.Counter(
+            _train_algorithm=(fits - 1) * n_datasets,
+            stack_member_scores=2 * n_datasets, stack_member_fit=2 * n_datasets,
+            stack_second_level=n_datasets)
         if same_spec:
             for ds in config["datasets"]:
                 a, b = (next(m for m in record["metrics"]
@@ -568,7 +685,7 @@ class TestCli:
         write_manifest(tmp_path / "one", period=3)
         write_manifest(tmp_path / "two", period=4)
         monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        monkeypatch.setattr(gridbench.study, "_train_job", no_training)
         config = tiny_config()
         config["datasets"] = [{"type": "manifest", "path": "one/manifest.json"},
                               {"type": "manifest", "path": "two/manifest.json"}]
@@ -584,7 +701,7 @@ class TestCli:
                                                          monkeypatch):
         write_manifest(tmp_path / "one")
         monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        monkeypatch.setattr(gridbench.study, "_train_job", no_training)
         config = tiny_config()
         config["datasets"][0] = {"type": "manifest", "path": "one/manifest.json",
                                  "name": "substation_7"}
@@ -606,7 +723,7 @@ class TestCli:
     def test_mistyped_manifest_exits_1_before_training(self, tmp_path, capsys,
                                                        monkeypatch, key, value):
         write_manifest(tmp_path / "one", **{key: value})
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        monkeypatch.setattr(gridbench.study, "_train_job", no_training)
         config = tiny_config()
         config["datasets"][1] = {"type": "manifest", "path": "one/manifest.json"}
         config_path = tmp_path / "config.json"
@@ -653,11 +770,11 @@ class TestCli:
         if not hasattr(blas, "scipy_openblas_set_num_threads64_"):
             pytest.skip("numpy bundles no scipy-openblas thread-count setter")
 
-        def blas_threads(*args):
-            return blas.scipy_openblas_get_num_threads64_()
-
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", blas_threads)
-        config = validate_config(tiny_config())
+        monkeypatch.setattr(gridbench.study, "_train_algorithm", worker_blas_threads)
+        config = tiny_config()
+        config["algorithm_b"]["model"] = {"kind": "tree"}  # 2 plain fits per dataset
+        config["algorithm_b"]["explainer"] = "blackbox"
+        config = validate_config(config)
         prepared = [gridbench.study._prepare_dataset(i, entry, config, tmp_path)
                     for i, entry in enumerate(config["datasets"])]
         # two threads in the calling process, whatever the host's core count
@@ -674,9 +791,6 @@ class TestCli:
     def test_no_process_outlives_a_run(self, fails, tmp_path, capsys,
                                        monkeypatch):
         if fails:
-            def single_class(*args, **kwargs):
-                raise SingleClassTrainingSet("training labels hold one class")
-
             monkeypatch.setattr(gridbench.study, "_train_algorithm", single_class)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(tiny_config()), encoding="utf-8")
@@ -688,6 +802,37 @@ class TestCli:
             assert "training labels hold one class" in err
             assert "while evaluating algorithm_a (plain-logreg)" in err
             assert "while evaluating datasets[0] (tiny_a)" in err
+
+    def test_failing_member_job_fails_the_run_like_a_fit(self, tmp_path, capsys,
+                                                         monkeypatch):
+        mlp = gridbench.models._TRAINERS["mlp"]
+
+        def failing_fold_batch(Xs, *args):
+            if len(Xs) > 1:  # the fold batch; the full-data fit trains one run
+                raise SingleClassTrainingSet("an MLP fold batch failed")
+            return mlp(Xs, *args)
+
+        # the forked workers inherit the patched trainer table
+        monkeypatch.setitem(gridbench.models._TRAINERS, "mlp", failing_fold_batch)
+        shutdowns = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(shared_stack_config()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 2
+        assert multiprocessing.active_children() == []
+        assert shutdowns == [True]  # the jobs not yet started are cancelled
+        err = capsys.readouterr().err
+        assert err.startswith("error: an MLP fold batch failed")
+        assert "while evaluating algorithm_a (stack-blackbox)" in err
+        assert "while evaluating datasets[0] (tiny_a)" in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
 
     def test_preprocessing_typo_exits_1(self, tmp_path, capsys):
         config = tiny_config()
@@ -712,7 +857,7 @@ class TestCli:
     def test_config_mistake_exits_1_before_training(self, tmp_path, capsys,
                                                     monkeypatch, path, key, value):
         monkeypatch.setattr(gridbench.study, "_build_dataset", no_building)
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        monkeypatch.setattr(gridbench.study, "_train_job", no_training)
         config = mistake_base()
         validate_config(config)
         section = config
@@ -730,7 +875,7 @@ class TestCli:
     def test_fitted_pipeline_refusals_exit_1_before_training(self, tmp_path, capsys,
                                                              monkeypatch, case):
         # the datasets are built for real; the refusal needs the fitted pipeline
-        monkeypatch.setattr(gridbench.study, "_train_algorithm", no_training)
+        monkeypatch.setattr(gridbench.study, "_train_job", no_training)
         config = tiny_config()
         if case == "exact_over_13_players":
             for entry in config["datasets"]:

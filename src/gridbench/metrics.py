@@ -200,9 +200,9 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     advance together: each step of the expanding search and of the
     bisection, which stops at ``SEARCH_TOL``, is one ``score`` call over the
     directions still open; a direction whose ``lo`` has reached the smallest
-    ``hi`` cannot win, so its bisection stops there. The probe's ``delta``
-    is an upper bound on the true minimal perturbation and its ``witness``
-    is the flipped point. ``candidate_labels``, when given, are the
+    ``hi`` cannot win, so its expanding search or bisection stops there. The
+    probe's ``delta`` is an upper bound on the true minimal perturbation and
+    its ``witness`` is the flipped point. ``candidate_labels``, when given, are the
     candidates' predicted labels, so a caller probing many instances
     against one candidate set scores it once.
     """
@@ -239,9 +239,11 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     def flips(points):
         return (model.score(points) >= model.threshold).astype(np.int64) != base_label
 
-    # expanding search for any flip along the random rays: no flip at lo
+    # expanding search for any flip along the random rays (no flip at lo),
+    # while lo is below the smallest hi
     t = SEARCH_TOL
-    while t <= cap and (rows := np.flatnonzero(np.isinf(hi))).size:
+    while t <= cap and (rows := np.flatnonzero(
+            np.isinf(hi) & (lo < hi.min(initial=np.inf)))).size:
         flipped = flips(x + t * U[rows])
         hi[rows[flipped]] = t
         lo[rows[~flipped]] = t

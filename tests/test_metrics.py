@@ -323,11 +323,14 @@ class TestAdversarialRobustness:
 
 
 def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6,
-                     intervals=None):
+                     intervals=None, expansions=None):
     """Direction-by-direction search with single-row score calls (oracle).
 
-    Each direction is bisected to the end; when ``intervals`` is a list, the
-    (lo, hi) sequence of every bisected direction is appended to it.
+    Each random ray searches up to the cap and each direction is bisected to
+    the end; when ``intervals`` is a list, the (lo, hi) sequence of every
+    bisected direction is appended to it, and when ``expansions`` is a list,
+    every direction's (distances its expanding search tried, flip distance
+    or None) is appended to it.
     """
     x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -354,18 +357,19 @@ def _reference_probe(model, x, candidates, n_random_dirs=4, seed=0, tol=1e-6,
 
     best = None
     for unit, known_flip in directions:
+        lo, hi, tried = 0.0, known_flip, []
         if known_flip is None:
-            t, flip_at, prev = tol, None, 0.0
+            t = tol
             while t <= cap:
+                tried.append(t)
                 if flips(t, unit):
-                    flip_at = t
+                    hi = t
                     break
-                prev, t = t, t * 2.0
-            if flip_at is None:
-                continue
-            lo, hi = prev, flip_at
-        else:
-            lo, hi = 0.0, known_flip
+                lo, t = t, t * 2.0
+        if expansions is not None:
+            expansions.append((tried, hi))
+        if hi is None:
+            continue
         steps = [(lo, hi)]
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
@@ -396,6 +400,22 @@ def _lockstep_skipped_rows(intervals):
             return sum(len(seq) - 1 for seq in intervals) - sum(taken)
         for i in moving:
             taken[i] += 1
+
+
+def _lockstep_skipped_ray_rows(expansions):
+    """Expanding-search rows a lockstep search skips over the oracle's
+    (distances tried, flip distance) of every direction: round k tries the
+    k-th distance on every random ray still searching, and a ray stops once
+    its lo, the distance it tried last, reaches the smallest flip distance
+    known."""
+    min_hi = min((flip for tried, flip in expansions if not tried), default=np.inf)
+    rays = [(tried, flip) for tried, flip in expansions if tried]
+    for k in range(max((len(tried) for tried, _ in rays), default=0)):
+        searching = [(tried, flip) for tried, flip in rays if len(tried) > k]
+        if k and searching[0][0][k - 1] >= min_hi:  # the rays try one sequence
+            return sum(len(tried) - k for tried, _ in searching)
+        min_hi = min([min_hi, *(flip for tried, flip in searching if flip == tried[k])])
+    return 0
 
 
 class _CountingModel:
@@ -437,20 +457,23 @@ class TestBatchedRobustnessSearch:
         X_train, _, X_test, _ = blob_matrices
         model = trained_stack if kind == "stack" else trained_models[kind]
         batched, reference = _CountingModel(model), _CountingModel(model)
-        skipped = 0
+        skipped = skipped_rays = 0
         for i, x in enumerate(X_test[:6]):
             probe = adversarial_robustness(batched, x, X_train,
                                            n_random_dirs=4, seed=i)
-            intervals = []
+            intervals, expansions = [], []
             oracle = _reference_probe(reference, x, X_train,
                                       n_random_dirs=4, seed=i,
-                                      intervals=intervals)
+                                      intervals=intervals, expansions=expansions)
             assert probe.delta == oracle.delta
             assert np.array_equal(probe.witness, oracle.witness)
             skipped += _lockstep_skipped_rows(intervals)
-        # the oracle bisects every direction to the end; the search stops a
-        # direction once its lo reaches the smallest hi
-        assert skipped > 0
+            skipped_rays += _lockstep_skipped_ray_rows(expansions)
+        # the oracle searches every ray to its flip or the cap and bisects
+        # every direction to the end; the search stops a direction once its
+        # lo reaches the smallest hi
+        assert skipped > 0 and skipped_rays > 0
+        skipped += skipped_rays
         assert batched.rows == reference.rows - skipped
         assert batched.calls * 10 <= reference.calls
 
@@ -474,7 +497,8 @@ class TestBatchedRobustnessSearch:
 
     def test_ray_without_flip_is_skipped(self):
         # a random ray almost surely misses the ball; the candidate inside
-        # it supplies delta, and every ray runs its search up to the cap
+        # it supplies delta, and a ray searches until its lo reaches the
+        # candidate's flip distance, 1.0
         model = _BallStub([1.0, 0.0, 0.0], radius=0.01)
         x, candidates = np.zeros(3), np.array([[1.0, 0.0, 0.0]])
         rays, plain = _CountingModel(model), _CountingModel(model)
@@ -484,9 +508,10 @@ class TestBatchedRobustnessSearch:
                                        n_random_dirs=0, seed=0)
         assert probe.delta == alone.delta == pytest.approx(0.99, abs=1e-6)
         assert np.array_equal(probe.witness, alone.witness)
-        cap, t, steps = 10.0 * 1.0, 1e-6, 0
-        while t <= cap:
-            steps, t = steps + 1, t * 2.0
+        cap, t, lo, steps = 10.0 * 1.0, 1e-6, 0.0, 0
+        while t <= cap and lo < 1.0:
+            steps, lo, t = steps + 1, t, t * 2.0
+        assert steps == 21
         assert rays.rows - plain.rows == 4 * steps
 
 

@@ -356,7 +356,7 @@ def _train_models(config: dict, prepared: list[_Prepared]) -> dict:
             with _noted(*notes[key]):
                 done[key, step][m], job_seconds = future.result()
             seconds[key] += job_seconds
-            columns = done[key, stack_member_scores]
+            columns = done[key, step]
             if step is stack_member_scores and len(columns) == len(plans[key].members):
                 second[key] = pool.submit(_train_job, stack_second_level, plans[key],
                                           [columns[j] for j in range(len(columns))])

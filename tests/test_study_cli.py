@@ -111,8 +111,9 @@ def no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
 
 
-# Stand-in training steps. A training job pickles its step by name, so a
-# step patched in for a forked worker must be a module-level function.
+# Stand-in training steps. A training job pickles its step by reference
+# (module and name), so a step patched in for the forked workers must be a
+# module-level function.
 
 def single_class(*args, **kwargs):
     raise SingleClassTrainingSet("training labels hold one class")
@@ -126,20 +127,18 @@ def worker_blas_threads(*args):
 
 
 def job_estimate(step, args):
-    """The cost estimate a training job should be ordered by (oracle):
+    """The static cost a first-wave training job is ordered by (oracle):
     rows trained x epochs (x hidden width for an MLP), and rows x depth x
     columns for a tree."""
     if step is gridbench.study._train_algorithm:
         spec, X = args[0], args[1]
-        kind = spec["kind"]
+        kind, rows = spec["kind"], X.shape[0]
         hyper = {**gridbench.models.DEFAULT_HYPERPARAMETERS[kind], **spec.get("hyper", {})}
-        rows = X.shape[0]
     else:
         plan, member = args
-        kind, hyper = plan.members[member]
-        X = plan.X
-        folds = len(np.unique(plan.assignment))
-        rows = X.shape[0] * ((folds - 1) if step is gridbench.study.stack_member_scores else 1)
+        (kind, hyper), X = plan.members[member], plan.X
+        rows = X.shape[0] * (plan.folds - 1 if step is gridbench.study.stack_member_scores
+                             else 1)
     if kind == "tree":
         return rows * hyper["max_depth"] * X.shape[1]
     return rows * hyper["epochs"] * hyper.get("hidden_width", 1)

@@ -833,6 +833,24 @@ class TestCli:
         assert "while evaluating datasets[0] (tiny_a)" in err
         assert not any(tmp_path.glob("studies/records/*.json"))
 
+    def test_refused_stack_plan_fails_before_any_job(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a training pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        config = tiny_config()
+        config["algorithm_b"]["model"]["stack"]["folds"] = 100  # 84 training rows
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: folds=100 invalid for 84 rows")
+        assert "while evaluating algorithm_b (small-stack)" in err
+        assert "while evaluating datasets[0] (tiny_a)" in err
+        assert not any(tmp_path.glob("studies/records/*.json"))
+
     def test_preprocessing_typo_exits_1(self, tmp_path, capsys):
         config = tiny_config()
         config["preprocessing"]["use_pcaa"] = True

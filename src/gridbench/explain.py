@@ -89,14 +89,18 @@ class Background:
     def baseline(self) -> np.ndarray:
         """The point that removes every player: the background mean on
         numeric columns, and on each other player's columns its most
-        frequent block among the rows (the first seen on ties)."""
-        point = self.mean()
-        for player in np.unique(self.players[~self.numeric]):
-            columns = self.players == player
-            blocks, first, counts = np.unique(self.rows[:, columns], axis=0,
-                                              return_index=True, return_counts=True)
-            point[columns] = blocks[np.lexsort((first, -counts))[0]]
-        return point
+        frequent block among the rows (the first seen on ties). Computed on
+        the first call and read-only."""
+        if "_baseline" not in self.__dict__:
+            point = self.mean()
+            for player in np.unique(self.players[~self.numeric]):
+                columns = self.players == player
+                blocks, first, counts = np.unique(self.rows[:, columns], axis=0,
+                                                  return_index=True, return_counts=True)
+                point[columns] = blocks[np.lexsort((first, -counts))[0]]
+            point.setflags(write=False)
+            object.__setattr__(self, "_baseline", point)
+        return self._baseline
 
 
 def sample_background(X: np.ndarray, size: int = 100, seed: int = 0,

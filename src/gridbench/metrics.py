@@ -189,81 +189,87 @@ class RobustnessProbe:
     witness: np.ndarray  # a point past the boundary with the flipped label
 
 
+def _norms(A: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, through the BLAS dot ``np.linalg.norm`` uses on a row."""
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
+def _probe_all(model, X: np.ndarray, candidates: np.ndarray, candidate_labels,
+               n_random_dirs: int, seeds) -> list[RobustnessProbe | None]:
+    """``adversarial_robustness`` for each row of X (None: no flip found),
+    every row's search advancing in lockstep with one ``score`` call a step."""
+    n, d = X.shape
+    base = (model.score(X) >= model.threshold).astype(np.int64)
+    diameter = _norms(np.maximum(candidates.max(axis=0), X)
+                      - np.minimum(candidates.min(axis=0), X))
+    cap = np.where(diameter > 0, 10.0 * diameter, 10.0)
+    # each direction's instance, unit and the distance of a known flip (inf:
+    # none yet): toward the opposite-labeled candidates, then the random rays
+    owner, toward = np.nonzero(np.asarray(candidate_labels) != base[:, None])
+    rays = np.array([np.random.default_rng(derive_seed(s, "adv_dirs")).normal(
+        size=(int(n_random_dirs), d)) for s in seeds]).reshape(-1, d)
+    steps = np.vstack([candidates[toward] - X[owner], rays])
+    length = _norms(steps)
+    hi = np.concatenate([length[:toward.size], np.full(len(rays), np.inf)])
+    owner = np.concatenate([owner, np.repeat(np.arange(n), int(n_random_dirs))])
+    order = np.argsort(owner, kind="stable")
+    order = order[length[order] > 0]
+    owner, hi, U = owner[order], hi[order], steps[order] / length[order, None]
+    lo = np.zeros_like(hi)
+    # each step, an instance whose random rays are still searching (no flip
+    # at lo) doubles them, up to its cap; once none is, it bisects every
+    # finite [lo, hi] (no flip at lo, a flip at hi) down to SEARCH_TOL. A
+    # direction stops once its lo reaches its instance's smallest hi: past
+    # it, hi > lo >= min(hi), so it cannot win
+    t = SEARCH_TOL
+    while True:
+        smallest = np.full(n, np.inf)
+        np.minimum.at(smallest, owner, hi)
+        live = lo < smallest[owner]
+        expand = live & np.isinf(hi) & (t <= cap[owner])
+        searching = np.bincount(owner[expand], minlength=n) > 0
+        bisect = live & np.isfinite(hi) & (hi - lo > SEARCH_TOL) & ~searching[owner]
+        if not (rows := np.flatnonzero(expand | bisect)).size:
+            break
+        at = np.where(expand[rows], t, (lo[rows] + hi[rows]) / 2.0)
+        flipped = (model.score(X[owner[rows]] + at[:, None] * U[rows])
+                   >= model.threshold) != base[owner[rows]]
+        hi[rows[flipped]] = at[flipped]
+        lo[rows[~flipped]] = at[~flipped]
+        t = t * 2.0
+
+    first = np.searchsorted(owner, np.arange(n + 1))
+    best = [a + int(np.argmin(hi[a:b])) if np.isfinite(hi[a:b]).any() else None
+            for a, b in zip(first, first[1:])]  # argmin: the first of equal minima
+    return [None if j is None else
+            RobustnessProbe(delta=float(hi[j]), witness=X[i] + float(hi[j]) * U[j])
+            for i, j in enumerate(best)]
+
+
 def adversarial_robustness(model, x, candidates: np.ndarray,
                            n_random_dirs: int = 4, seed: int = 0,
                            candidate_labels: np.ndarray | None = None) -> RobustnessProbe:
     """Minimum found L2 perturbation that flips the predicted label.
 
     Directions: toward every opposite-labeled candidate (a flip is certain
-    on that segment) plus seeded random unit directions with an expanding
-    search capped at 10x the data's bounding-box diagonal. All directions
-    advance together: each step of the expanding search and of the
-    bisection, which stops at ``SEARCH_TOL``, is one ``score`` call over the
-    directions still open; a direction whose ``lo`` has reached the smallest
-    ``hi`` cannot win, so its expanding search or bisection stops there. The
-    probe's ``delta`` is an upper bound on the true minimal perturbation and
-    its ``witness`` is the flipped point. ``candidate_labels``, when given, are the
-    candidates' predicted labels, so a caller probing many instances
-    against one candidate set scores it once.
+    on that segment) plus seeded random unit rays, searched outward from
+    ``SEARCH_TOL`` by doubling up to 10x the bounding-box diagonal of the
+    candidates and x. Each flip found is bisected down to ``SEARCH_TOL``.
+    Each step is one ``score`` call over the directions still open; a
+    direction whose ``lo`` has reached the smallest ``hi`` cannot win, so it
+    stops there. ``delta`` is an upper bound on the true minimal perturbation
+    and ``witness`` the flipped point; with no flip, raises ``NoFlipFound``.
+    ``candidate_labels``, when given, are the candidates' predicted labels,
+    so a caller probing many instances against one candidate set scores it once.
     """
-    x = np.asarray(x, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    base_label = int(model.score(x[None, :])[0] >= model.threshold)
-
-    extent = np.vstack([candidates, x[None, :]])
-    diameter = float(np.linalg.norm(extent.max(axis=0) - extent.min(axis=0)))
-    cap = 10.0 * diameter if diameter > 0 else 10.0
-
-    # each direction's unit and the distance of a known flip (inf: none yet)
-    units: list[np.ndarray] = []
-    flip_at: list[float] = []
     if candidate_labels is None:
         candidate_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
-    for c, cl in zip(candidates, candidate_labels):
-        if int(cl) != base_label:
-            dist = float(np.linalg.norm(c - x))
-            if dist > 0:
-                units.append((c - x) / dist)
-                flip_at.append(dist)
-    rng = np.random.default_rng(derive_seed(seed, "adv_dirs"))
-    for _ in range(int(n_random_dirs)):
-        u = rng.normal(size=x.shape[0])
-        norm = np.linalg.norm(u)
-        if norm > 0:
-            units.append(u / norm)
-            flip_at.append(np.inf)
-    U = np.array(units)
-    hi = np.array(flip_at, dtype=np.float64)
-    lo = np.zeros_like(hi)
-
-    def flips(points):
-        return (model.score(points) >= model.threshold).astype(np.int64) != base_label
-
-    # expanding search for any flip along the random rays (no flip at lo),
-    # while lo is below the smallest hi
-    t = SEARCH_TOL
-    while t <= cap and (rows := np.flatnonzero(
-            np.isinf(hi) & (lo < hi.min(initial=np.inf)))).size:
-        flipped = flips(x + t * U[rows])
-        hi[rows[flipped]] = t
-        lo[rows[~flipped]] = t
-        t = t * 2.0
-
-    if not np.isfinite(hi).any():
+    (probe,) = _probe_all(model, np.asarray(x, dtype=np.float64)[None, :], candidates,
+                          candidate_labels, n_random_dirs, [seed])
+    if probe is None:
         raise NoFlipFound("no probed direction flipped the predicted label")
-
-    # bisect every finite [lo, hi] (no flip at lo, a flip at hi) down to
-    # SEARCH_TOL, while lo is below the smallest hi: past it, hi > lo >= min(hi)
-    while (rows := np.flatnonzero(np.isfinite(hi) & (hi - lo > SEARCH_TOL)
-                                  & (lo < hi.min()))).size:
-        mid = (lo[rows] + hi[rows]) / 2.0
-        flipped = flips(x + mid[:, None] * U[rows])
-        hi[rows[flipped]] = mid[flipped]
-        lo[rows[~flipped]] = mid[~flipped]
-
-    best = int(np.argmin(hi))  # the first of equal minima
-    delta = float(hi[best])
-    return RobustnessProbe(delta=delta, witness=x + delta * U[best])
+    return probe
 
 
 # --- Lipschitz lower bound ------------------------------------------------------
@@ -343,18 +349,19 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
 def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarray,
                              n_random_dirs: int = 4, max_pairs: int = 10000,
                              seed: int = 0) -> RobustnessMetrics:
-    """Per-instance minimal perturbations plus the dataset Lipschitz bound."""
+    """Per-instance minimal perturbations plus the dataset Lipschitz bound.
+
+    Instance i is probed as ``adversarial_robustness`` probes it at
+    ``derive_seed(seed, "adv", i)``, but all instances' searches advance in
+    lockstep, one ``score`` call per step. ``delta_adv`` leaves out an
+    instance with no flip; ``mean_delta_adv`` is None when none flips.
+    """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     labels = (model.score(candidates) >= model.threshold).astype(np.int64)
-    deltas = []
-    for i, x in enumerate(instances):
-        try:
-            deltas.append(adversarial_robustness(
-                model, x, candidates, n_random_dirs,
-                seed=derive_seed(seed, "adv", i), candidate_labels=labels).delta)
-        except NoFlipFound:
-            continue
+    probes = _probe_all(model, instances, candidates, labels, n_random_dirs,
+                        [derive_seed(seed, "adv", i) for i in range(len(instances))])
+    deltas = [probe.delta for probe in probes if probe is not None]
     try:
         bound, pairs = lipschitz_lower(model, instances, max_pairs,
                                        seed=derive_seed(seed, "lip"))

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import inspect
 from dataclasses import astuple
@@ -19,6 +20,7 @@ from gridbench.explain import (
     sample_background,
     shapley_explain,
 )
+from gridbench import metrics
 from gridbench.metrics import (
     ExplanationMetrics,
     RobustnessProbe,
@@ -619,6 +621,60 @@ class TestSuites:
                                         seed=derive_seed(0, "adv", i)).delta
                  for i, x in enumerate(X_test[:4])]
         assert suite.delta_adv == alone
+
+    @pytest.mark.parametrize("n_random_dirs", [0, 3])
+    def test_lockstep_suite_matches_the_oracle_in_one_call_per_step(
+            self, n_random_dirs, trained_models, blob_matrices, monkeypatch):
+        # every candidate is labelled 0: a label-0 instance has no candidate
+        # direction, and a label-1 instance outside the candidates' box has
+        # a larger cap than the others; each instance's search step count is
+        # its score calls alone, but for its own label
+        X_train, _, X_test, _ = blob_matrices
+        model = trained_models["mlp"]
+        label = lambda X: model.score(X) >= model.threshold
+        candidates = X_train[~label(X_train)]
+        ones, zeros = X_test[label(X_test)], X_test[~label(X_test)]
+        far = ones[0] + 20.0 * (ones[0] - candidates.mean(axis=0))
+        instances = np.vstack([ones[1:4], zeros[:1], far])
+        assert label(instances).tolist() == [True, True, True, False, True]
+        assert np.any((far > candidates.max(axis=0)) | (far < candidates.min(axis=0)))
+
+        probes, probe_all = [], metrics._probe_all
+
+        def recording(*args):
+            found = probe_all(*args)
+            probes.extend(found)
+            return found
+
+        counted = _CountingModel(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_probe_all", recording)
+            suite = robustness_metrics_suite(counted, instances, candidates,
+                                             n_random_dirs=n_random_dirs, seed=0)
+
+        steps, flipped = [], []
+        for i, (x, probe) in enumerate(zip(instances, probes)):
+            seed = derive_seed(0, "adv", i)
+            alone = _CountingModel(model)
+            with contextlib.suppress(NoFlipFound):
+                adversarial_robustness(alone, x, candidates, n_random_dirs, seed,
+                                       candidate_labels=label(candidates))
+            steps.append(alone.calls - 1)  # all but its own label
+            try:
+                oracle = _reference_probe(model, x, candidates, n_random_dirs, seed)
+            except NoFlipFound:
+                assert probe is None
+                continue
+            assert probe.delta == oracle.delta
+            assert np.array_equal(probe.witness, oracle.witness)
+            flipped.append(probe.delta)
+        assert len(probes) == len(instances)
+        if n_random_dirs == 0:
+            assert probes[3] is None
+        assert suite.delta_adv == flipped
+        # the candidates' labels, the instances' labels, one call per step of
+        # the longest search, and the Lipschitz scores
+        assert counted.calls <= 3 + max(steps)
 
     def test_explanation_suite_explains_each_instance_once(self, trained_models,
                                                             blob_matrices):

@@ -1,9 +1,11 @@
 """Robustness: minimal adversarial perturbation and Lipschitz lower bound.
 
-The adversarial search bisects along candidate directions (toward
-opposite-labeled training rows plus seeded random rays) to the nearest
-label flip; the result is an upper bound on the true minimal perturbation.
-All directions advance together, with one ``score`` call per search step.
+The adversarial search looks along candidate directions (toward
+opposite-labeled training rows, plus seeded random rays searched outward
+by doubling) and bisects each flip it finds; the result is an upper bound
+on the true minimal perturbation. All directions of an instance advance
+together, and the suite advances all its instances together: one ``score``
+call per search step, however many instances it probes.
 The Lipschitz statistic is the max score-difference/input-distance ratio
 over instance pairs, a lower bound on the true constant.
 

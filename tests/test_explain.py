@@ -497,6 +497,18 @@ class TestPlayers:
         assert bg.baseline().tolist() == [2.0, 0.0, 1.0, 0.0, 0.5]
         assert np.array_equal(Background(rows).baseline(), rows.mean(axis=0))
 
+    def test_baseline_is_computed_once_and_read_only(self, monkeypatch):
+        bg = _grouped(np.eye(3), [0, 0, 0], [False] * 3)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        first = bg.baseline()
+        passes = len(calls)
+        assert bg.baseline() is first and len(calls) == passes > 0
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
     def test_grouped_linear_closed_form(self):
         # a player's attribution is its columns' w_c * (x_c - mu_c)
         rng = np.random.default_rng(1)

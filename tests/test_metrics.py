@@ -627,8 +627,7 @@ class TestSuites:
             self, n_random_dirs, trained_models, blob_matrices, monkeypatch):
         # every candidate is labelled 0: a label-0 instance has no candidate
         # direction, and a label-1 instance outside the candidates' box has
-        # a larger cap than the others; each instance's search step count is
-        # its score calls alone, but for its own label
+        # a larger cap than the others
         X_train, _, X_test, _ = blob_matrices
         model = trained_models["mlp"]
         label = lambda X: model.score(X) >= model.threshold

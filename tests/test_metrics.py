@@ -651,6 +651,7 @@ class TestSuites:
             suite = robustness_metrics_suite(counted, instances, candidates,
                                              n_random_dirs=n_random_dirs, seed=0)
 
+        assert len(probes) == len(instances)
         steps, flipped = [], []
         for i, (x, probe) in enumerate(zip(instances, probes)):
             seed = derive_seed(0, "adv", i)
@@ -667,7 +668,6 @@ class TestSuites:
             assert probe.delta == oracle.delta
             assert np.array_equal(probe.witness, oracle.witness)
             flipped.append(probe.delta)
-        assert len(probes) == len(instances)
         if n_random_dirs == 0:
             assert probes[3] is None
         assert suite.delta_adv == flipped

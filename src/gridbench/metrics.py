@@ -194,18 +194,19 @@ def _norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
-def _probe_all(model, X: np.ndarray, candidates: np.ndarray, candidate_labels,
+def _probe_all(model, X: np.ndarray, scores: np.ndarray, candidates: np.ndarray,
                n_random_dirs: int, seeds) -> list[RobustnessProbe | None]:
-    """``adversarial_robustness`` for each row of X (None: no flip found),
-    every row's search advancing in lockstep with one ``score`` call a step."""
+    """``adversarial_robustness`` for each row of X, scored ``scores`` (None:
+    no flip found), every row's search advancing in lockstep, one call a step."""
     n, d = X.shape
-    base = (model.score(X) >= model.threshold).astype(np.int64)
+    base = (scores >= model.threshold).astype(np.int64)
+    labels = (model.score(candidates) >= model.threshold).astype(np.int64)
     diameter = _norms(np.maximum(candidates.max(axis=0), X)
                       - np.minimum(candidates.min(axis=0), X))
     cap = np.where(diameter > 0, 10.0 * diameter, 10.0)
     # each direction's instance, unit and the distance of a known flip (inf:
     # none yet): toward the opposite-labeled candidates, then the random rays
-    owner, toward = np.nonzero(np.asarray(candidate_labels) != base[:, None])
+    owner, toward = np.nonzero(labels != base[:, None])
     rays = np.array([np.random.default_rng(derive_seed(s, "adv_dirs")).normal(
         size=(int(n_random_dirs), d)) for s in seeds]).reshape(-1, d)
     steps = np.vstack([candidates[toward] - X[owner], rays])
@@ -247,8 +248,7 @@ def _probe_all(model, X: np.ndarray, candidates: np.ndarray, candidate_labels,
 
 
 def adversarial_robustness(model, x, candidates: np.ndarray,
-                           n_random_dirs: int = 4, seed: int = 0,
-                           candidate_labels: np.ndarray | None = None) -> RobustnessProbe:
+                           n_random_dirs: int = 4, seed: int = 0) -> RobustnessProbe:
     """Minimum found L2 perturbation that flips the predicted label.
 
     Directions: toward every opposite-labeled candidate (a flip is certain
@@ -259,14 +259,10 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
     direction whose ``lo`` has reached the smallest ``hi`` cannot win, so it
     stops there. ``delta`` is an upper bound on the true minimal perturbation
     and ``witness`` the flipped point; with no flip, raises ``NoFlipFound``.
-    ``candidate_labels``, when given, are the candidates' predicted labels,
-    so a caller probing many instances against one candidate set scores it once.
     """
+    x = np.asarray(x, dtype=np.float64)[None, :]
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if candidate_labels is None:
-        candidate_labels = (model.score(candidates) >= model.threshold).astype(np.int64)
-    (probe,) = _probe_all(model, np.asarray(x, dtype=np.float64)[None, :], candidates,
-                          candidate_labels, n_random_dirs, [seed])
+    (probe,) = _probe_all(model, x, model.score(x), candidates, n_random_dirs, [seed])
     if probe is None:
         raise NoFlipFound("no probed direction flipped the predicted label")
     return probe
@@ -284,11 +280,15 @@ def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
     (bound, pairs).
     """
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
+    return _lipschitz(X, model.score(X), max_pairs, seed)
+
+
+def _lipschitz(X: np.ndarray, scores: np.ndarray, max_pairs: int,
+               seed: int) -> tuple[float, int]:
+    """``lipschitz_lower`` over the rows of X, whose scores are ``scores``."""
     n = X.shape[0]
     if n < 2:
         raise AllInstancesIdentical("need >= 2 instances")
-    scores = model.score(X)
-
     total = n * (n - 1) // 2
     if total <= max_pairs:
         pairs_i, pairs_j = np.triu_indices(n, k=1)
@@ -353,18 +353,18 @@ def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarra
 
     Instance i is probed as ``adversarial_robustness`` probes it at
     ``derive_seed(seed, "adv", i)``, but all instances' searches advance in
-    lockstep, one ``score`` call per step. ``delta_adv`` leaves out an
-    instance with no flip; ``mean_delta_adv`` is None when none flips.
+    lockstep, one ``score`` call per step. One ``score`` call over the instances
+    gives their labels and the Lipschitz bound's scores. ``delta_adv`` leaves
+    out an instance with no flip; ``mean_delta_adv`` is None when none flips.
     """
     instances = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    labels = (model.score(candidates) >= model.threshold).astype(np.int64)
-    probes = _probe_all(model, instances, candidates, labels, n_random_dirs,
+    scores = model.score(instances)
+    probes = _probe_all(model, instances, scores, candidates, n_random_dirs,
                         [derive_seed(seed, "adv", i) for i in range(len(instances))])
     deltas = [probe.delta for probe in probes if probe is not None]
     try:
-        bound, pairs = lipschitz_lower(model, instances, max_pairs,
-                                       seed=derive_seed(seed, "lip"))
+        bound, pairs = _lipschitz(instances, scores, max_pairs, derive_seed(seed, "lip"))
     except AllInstancesIdentical:
         bound, pairs = 0.0, 0  # no two distinct instances: nothing measured
     return RobustnessMetrics(

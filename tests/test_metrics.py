@@ -622,6 +622,22 @@ class TestSuites:
                  for i, x in enumerate(X_test[:4])]
         assert suite.delta_adv == alone
 
+    def test_robustness_suite_scores_its_instances_once(self, trained_models,
+                                                         blob_matrices):
+        # the instances' one batch gives the search their labels and the
+        # Lipschitz bound its scores
+        X_train, _, X_test, _ = blob_matrices
+        instances = X_test[:5]
+        model = _CountingModel(trained_models["mlp"])
+        batches = []
+        score = model.score
+        model.score = lambda X: batches.append(np.array(X)) or score(X)
+        suite = robustness_metrics_suite(model, instances, X_train,
+                                         n_random_dirs=2, seed=3)
+        assert sum(np.array_equal(batch, instances) for batch in batches) == 1
+        assert (suite.lipschitz_lower, suite.pairs_evaluated) == lipschitz_lower(
+            trained_models["mlp"], instances, seed=derive_seed(3, "lip"))
+
     @pytest.mark.parametrize("n_random_dirs", [0, 3])
     def test_lockstep_suite_matches_the_oracle_in_one_call_per_step(
             self, n_random_dirs, trained_models, blob_matrices, monkeypatch):
@@ -657,9 +673,8 @@ class TestSuites:
             seed = derive_seed(0, "adv", i)
             alone = _CountingModel(model)
             with contextlib.suppress(NoFlipFound):
-                adversarial_robustness(alone, x, candidates, n_random_dirs, seed,
-                                       candidate_labels=label(candidates))
-            steps.append(alone.calls - 1)  # all but its own label
+                adversarial_robustness(alone, x, candidates, n_random_dirs, seed)
+            steps.append(alone.calls - 2)  # all but its own and the candidates' labels
             try:
                 oracle = _reference_probe(model, x, candidates, n_random_dirs, seed)
             except NoFlipFound:
@@ -671,9 +686,9 @@ class TestSuites:
         if n_random_dirs == 0:
             assert probes[3] is None
         assert suite.delta_adv == flipped
-        # the candidates' labels, the instances' labels, one call per step of
-        # the longest search, and the Lipschitz scores
-        assert counted.calls <= 3 + max(steps)
+        # the instances' scores (their labels and the Lipschitz bound's), the
+        # candidates' labels and one call per step of the longest search
+        assert counted.calls <= 2 + max(steps)
 
     def test_explanation_suite_explains_each_instance_once(self, trained_models,
                                                             blob_matrices):

@@ -103,7 +103,7 @@ class Background:
         return self._baseline
 
 
-def sample_background(X: np.ndarray, size: int = 100, seed: int = 0,
+def sample_background(X: np.ndarray, size: int = 50, seed: int = 0,
                       players=None, numeric=None) -> Background:
     """Seeded sample of up to ``size`` training rows (all rows if fewer),
     with the column grouping of ``Background``."""

@@ -270,7 +270,7 @@ def adversarial_robustness(model, x, candidates: np.ndarray,
 
 # --- Lipschitz lower bound ------------------------------------------------------
 
-def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 10000,
+def lipschitz_lower(model, instances: np.ndarray, max_pairs: int = 2000,
                     seed: int = 0) -> tuple[float, int]:
     """Max observed |score(x_i)-score(x_j)| / ||x_i-x_j||_2 over instance pairs.
 
@@ -347,7 +347,7 @@ def explanation_metrics_suite(explain_fn, model, instances: np.ndarray,
 
 
 def robustness_metrics_suite(model, instances: np.ndarray, candidates: np.ndarray,
-                             n_random_dirs: int = 4, max_pairs: int = 10000,
+                             n_random_dirs: int = 4, max_pairs: int = 2000,
                              seed: int = 0) -> RobustnessMetrics:
     """Per-instance minimal perturbations plus the dataset Lipschitz bound.
 

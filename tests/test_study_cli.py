@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import ctypes
 import importlib.util
+import inspect
 import json
 import multiprocessing
 import os
@@ -14,7 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridbench.explain
+import gridbench.metrics
 import gridbench.models
+import gridbench.stats
 import gridbench.study
 from gridbench.cli import main
 from gridbench.errors import GridBenchError, InvalidConfig, SingleClassTrainingSet
@@ -23,8 +27,8 @@ from gridbench.metrics import explanation_metrics_suite
 from gridbench.models import (DecisionTreeModel, LogisticRegressionModel, MLPModel, train,
                               train_stack)
 from gridbench.seeding import derive_seed
-from gridbench.store import DocumentStore, reproducibility_digest, validate
-from gridbench.study import run_study, validate_config
+from gridbench.store import METRICS_DEFAULTS, DocumentStore, reproducibility_digest, validate
+from gridbench.study import EXPLAINER_DEFAULTS, run_study, validate_config
 from record_fixture import minimal_record
 
 
@@ -213,12 +217,35 @@ def mistake_base():
     return config
 
 
+# Each library keyword that a study config sets, and its config key.
+CONFIG_KEYS = {"r": "sens_radius", "n_probes": "n_probes", "K": "morf_k",
+               "n_random_dirs": "n_random_dirs", "max_pairs": "lipschitz_max_pairs",
+               "size": "background_size", "mode": "mode", "n_samples": "n_samples",
+               "n_resamples": "bootstrap_resamples", "level": "confidence_level"}
+
+
 class TestValidateConfig:
     def test_defaults_applied(self):
         config = validate_config(tiny_config())
         assert config["metrics"]["sens_radius"] == 0.01
         assert config["metrics"]["morf_k"] == 2
         assert config["algorithm_a"]["mode"] == "auto"
+
+    def test_library_defaults_match_the_config_defaults(self):
+        # a library call without the keyword computes what a study computes
+        # without the key
+        defaults = {**METRICS_DEFAULTS, **EXPLAINER_DEFAULTS}
+        found = {}  # (function, keyword): (its default, the config's default)
+        for module in (gridbench.explain, gridbench.stats, gridbench.metrics):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if fn.__module__ != module.__name__:
+                    continue
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name in CONFIG_KEYS and param.default is not param.empty:
+                        found[name, param.name] = (param.default,
+                                                   defaults[CONFIG_KEYS[param.name]])
+        assert {keyword for _, keyword in found} == set(CONFIG_KEYS)
+        assert {at: pair for at, pair in found.items() if pair[0] != pair[1]} == {}
 
     def test_single_dataset_with_statistics_rejected_before_training(self):
         config = tiny_config()

@@ -43,6 +43,11 @@ EXACT_EXPLAIN = lambda model, x, background, seed=0, **kw: [shapley_explain(  # 
 CASE_STUDY_DIGEST = "dcda877ed3c390d3d8ab837e6b47c5fe5c9b6765de0f28315ebeaa6ada429251"
 # numeric-only: every column is its own player, so player grouping leaves it as it was
 TINY_CONFIG_DIGEST = "f182488274bbf84e7bc7445e080d1e0df6c9c99cc4a0fb724a9eb8956391de0d"
+# sampled Shapley over a manifest CSV and a synthetic dataset, without and
+# with PCA (``sampled_study_config``), and the CSV's content hash
+SAMPLED_STUDY_DIGEST = "77c187b0c20115da78b01adaf984530be2d548518c6f905d5336520760e5e9c8"
+SAMPLED_PCA_STUDY_DIGEST = "b4c2fbee92bd0f04043d30ffcca45e44205b5e04da3311a29bc7c4917e0f69c4"
+SAMPLED_CSV_HASH = "5d6de3065899d99c945dedf6826c2dca6e605d9d8aaf9b2f0756d6a7f56080a1"
 
 
 def _exact_order(model, x, background):
@@ -377,6 +382,75 @@ def test_numeric_only_study_keeps_its_digest(tmp_path):
         "the numeric-only study digest changed; a declared digest break must "
         "update TINY_CONFIG_DIGEST in the same change")
     _report("numeric-only tiny study: digest pinned")
+
+
+def write_sampled_manifest(folder):
+    """``folder/zone.csv``, 160 rows of 14 numeric columns, one categorical
+    and a text label, written from a fixed seed at fixed precision, and its
+    manifest ``folder/zone.json``."""
+    rng = np.random.default_rng(160)
+    attack = np.arange(160) % 3 == 0
+    numeric = rng.normal(size=(160, 14)) + 1.1 * attack[:, None]
+    protocol = np.where(attack, rng.choice(["modbus", "dnp3", "iec104"], 160, p=[.2, .3, .5]),
+                        rng.choice(["modbus", "dnp3", "iec104"], 160, p=[.6, .3, .1]))
+    names = [f"m{j}" for j in range(14)]
+    folder.mkdir()
+    (folder / "zone.csv").write_text("\n".join(
+        [",".join([*names, "protocol", "label"])]
+        + [",".join([*(f"{v:.5f}" for v in row), proto, "attack" if bad else "normal"])
+           for row, proto, bad in zip(numeric, protocol, attack)]) + "\n", encoding="utf-8")
+    (folder / "zone.json").write_text(json.dumps({
+        "csv_path": "zone.csv", "label_column": "label",
+        "positive_label_values": ["attack"],
+        "columns": [*({"name": name, "kind": "numeric"} for name in names),
+                    {"name": "protocol", "kind": "categorical"}]}), encoding="utf-8")
+
+
+def sampled_study_config(base_dir, use_pca=False):
+    """A manifest CSV (15 players) and a synthetic dataset (14 players):
+    slot a explains an MLP in sampled mode, and slot b a logreg + tree stack
+    by basic join, which ``auto`` runs sampled. ``use_pca`` keeps 13
+    components, so 13 players."""
+    write_sampled_manifest(base_dir / "zone")
+    explained = {"n_samples": 64, "background_size": 8}
+    return {
+        "master_seed": 13,
+        "datasets": [
+            {"type": "manifest", "path": "zone/zone.json"},
+            {"type": "synthetic", "name": "cell_site", "n": 160, "d_numeric": 13,
+             "d_categorical": 1, "anomaly_fraction": 0.3, "class_separation": 1.2},
+        ],
+        "split": {"train_fraction": 0.7},
+        "preprocessing": {"use_onehot": True, "use_minmax": True, "use_pca": use_pca,
+                          "pca_components": 13 if use_pca else None},
+        "algorithm_a": {"name": "mlp-sampled",
+                        "model": {"kind": "mlp", "hyper": {"epochs": 150}},
+                        "explainer": "blackbox", "mode": "sampled", **explained},
+        "algorithm_b": {"name": "stack-basic-join",
+                        "model": {"stack": {
+                            "first_level": [{"kind": "logreg", "hyper": {"epochs": 150}},
+                                            {"kind": "tree"}],
+                            "second_level": {"kind": "logreg", "hyper": {"epochs": 150}},
+                            "folds": 3}},
+                        "explainer": "basic_join", **explained},
+        "metrics": {"explain_instances": 3, "robustness_instances": 3, "n_probes": 2,
+                    "bootstrap_resamples": 300},
+        "output": {"store_root": "studies", "report_dir": "reports"},
+    }
+
+
+@pytest.mark.parametrize("use_pca, digest", [(False, SAMPLED_STUDY_DIGEST),
+                                             (True, SAMPLED_PCA_STUDY_DIGEST)],
+                         ids=["plain", "pca"])
+def test_sampled_manifest_study_keeps_its_digest(tmp_path, use_pca, digest):
+    """The sampled Shapley path, a manifest CSV, an MLP outside a stack,
+    two slots with different fits and passes, and PCA reproduce their pins."""
+    record = run_study(sampled_study_config(tmp_path, use_pca), base_dir=tmp_path)
+    assert record["datasets"][0]["content_hash"] == SAMPLED_CSV_HASH
+    assert record["reproducibility_digest"] == digest, (
+        "the sampled study's digest changed; a declared digest break must "
+        "update its pin in the same change")
+    _report(f"sampled manifest study{' with PCA' if use_pca else ''}: digest pinned")
 
 
 def test_tiny_study_digest_holds_in_a_fresh_interpreter(tmp_path):

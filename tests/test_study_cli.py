@@ -217,13 +217,6 @@ def mistake_base():
     return config
 
 
-# Each library keyword that a study config sets, and its config key.
-CONFIG_KEYS = {"r": "sens_radius", "n_probes": "n_probes", "K": "morf_k",
-               "n_random_dirs": "n_random_dirs", "max_pairs": "lipschitz_max_pairs",
-               "size": "background_size", "mode": "mode", "n_samples": "n_samples",
-               "n_resamples": "bootstrap_resamples", "level": "confidence_level"}
-
-
 class TestValidateConfig:
     def test_defaults_applied(self):
         config = validate_config(tiny_config())
@@ -233,7 +226,11 @@ class TestValidateConfig:
 
     def test_library_defaults_match_the_config_defaults(self):
         # a library call without the keyword computes what a study computes
-        # without the key
+        # without the key; each keyword a study config sets, and its key
+        keys = {"r": "sens_radius", "n_probes": "n_probes", "K": "morf_k",
+                "n_random_dirs": "n_random_dirs", "max_pairs": "lipschitz_max_pairs",
+                "size": "background_size", "mode": "mode", "n_samples": "n_samples",
+                "n_resamples": "bootstrap_resamples", "level": "confidence_level"}
         defaults = {**METRICS_DEFAULTS, **EXPLAINER_DEFAULTS}
         found = {}  # (function, keyword): (its default, the config's default)
         for module in (gridbench.explain, gridbench.stats, gridbench.metrics):
@@ -241,10 +238,10 @@ class TestValidateConfig:
                 if fn.__module__ != module.__name__:
                     continue
                 for param in inspect.signature(fn).parameters.values():
-                    if param.name in CONFIG_KEYS and param.default is not param.empty:
+                    if param.name in keys and param.default is not param.empty:
                         found[name, param.name] = (param.default,
-                                                   defaults[CONFIG_KEYS[param.name]])
-        assert {keyword for _, keyword in found} == set(CONFIG_KEYS)
+                                                   defaults[keys[param.name]])
+        assert {keyword for _, keyword in found} == set(keys)
         assert {at: pair for at, pair in found.items() if pair[0] != pair[1]} == {}
 
     def test_single_dataset_with_statistics_rejected_before_training(self):

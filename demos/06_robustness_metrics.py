@@ -5,7 +5,8 @@ opposite-labeled training rows, plus seeded random rays searched outward
 by doubling) and bisects each flip it finds; the result is an upper bound
 on the true minimal perturbation. All directions of an instance advance
 together, and the suite advances all its instances together: one ``score``
-call per search step, however many instances it probes.
+call per search step, however many instances it probes. The suite scores
+its instances once, for both their labels and the Lipschitz bound.
 The Lipschitz statistic is the max score-difference/input-distance ratio
 over instance pairs, a lower bound on the true constant.
 

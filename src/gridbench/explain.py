@@ -7,10 +7,13 @@ function is marginal (interventional): v(S) is the mean model score over
 background rows with the explained instance's values imposed on the
 players in S. Exact mode enumerates all 2^G coalitions of the G players
 (G <= 12), and a row explained after the first scores only the coalitions
-holding a player where it differs from the first; sampled mode uses seeded
-permutation sampling of the players. ``basic_join_explain`` composes
-per-model first-level attributions with the second-level attribution
-vector via a matrix product.
+holding a player where it differs from the first. A call's rows are
+scored in batches of consecutive whole rows of at most ``_BATCH_ROWS``
+imputed rows, a row with more alone, so no batch exceeds
+max(``_BATCH_ROWS``, b·2^G) over b background rows. Sampled mode uses
+seeded permutation sampling of the players. ``basic_join_explain``
+composes per-model first-level attributions with the second-level
+attribution vector via a matrix product.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import DimensionMismatch, ExactTooLarge
 from .models import StackedEnsemble
 
 EXACT_DIMENSION_LIMIT = 12
+_BATCH_ROWS = 8192  # imputed rows per exact-mode score call; an instance with more is alone
 EXPLAINER_KINDS = ("blackbox", "basic_join")
 MODES = ("auto", "exact", "sampled")
 
@@ -130,17 +134,31 @@ def resolve_mode(mode: str, n_players: int) -> str:
 
 @lru_cache(maxsize=None)
 def _coalition_tables(g: int):
-    """Coalition bits and, per player i, (S without i, S with i, Shapley weights)."""
+    """Coalition bits, and per player i (one row each) the coalitions S
+    without i, S with i, and S's Shapley weight."""
     masks = np.arange(1 << g)
     bits = ((masks[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)
-    weights = np.array([factorial(s) * factorial(g - s - 1) / factorial(g)
-                        for s in range(g)])
-    without = [masks[~bits[:, i]] for i in range(g)]
-    pairs = tuple((wo, wo | (1 << i), weights[bits[wo].sum(axis=1)])
-                  for i, wo in enumerate(without))
-    for array in (bits, *(a for pair in pairs for a in pair)):
+    factor = np.array([factorial(s) * factorial(g - s - 1) / factorial(g)
+                       for s in range(g)])
+    without = np.array([masks[~bits[:, i]] for i in range(g)]).reshape(g, len(masks) // 2)
+    with_i = without | (1 << np.arange(g))[:, None]
+    weights = factor[bits[without].sum(axis=2)]
+    for array in (bits, without, with_i, weights):
         array.setflags(write=False)  # cached: every caller shares them
-    return bits, pairs
+    return bits, without, with_i, weights
+
+
+def _batches(sizes: np.ndarray):
+    """(first, stop) of each run of consecutive rows whose ``sizes`` sum to
+    at most ``_BATCH_ROWS``; a row larger than that is a run alone."""
+    first = total = 0
+    for i, size in enumerate(sizes.tolist()):
+        if total and total + size > _BATCH_ROWS:
+            yield first, i
+            first, total = i, 0
+        total += size
+    if total:
+        yield first, len(sizes)
 
 
 def _explain_all(models, X, background: Background, exact: bool,
@@ -149,10 +167,14 @@ def _explain_all(models, X, background: Background, exact: bool,
     one table per model, and with ``second`` one more for the stack whose
     second level ``second`` scores the models' scores.
 
-    All models are scored on one matrix per row: in exact mode the row's
-    coalitions (a row after row 0 scores only those holding a player where
-    it differs from row 0 and copies the rest from row 0, whose imputed rows
-    are the same), in sampled mode the row's permutation points.
+    All models are scored on the same matrices. In exact mode row 0 takes
+    all 2^G coalitions, a later row only those holding a player where it
+    differs from row 0 (it copies the rest from row 0, whose imputed rows
+    are the same). The rows' coalitions are scored in batches of
+    consecutive whole rows of at most ``_BATCH_ROWS`` imputed rows, a row
+    with more alone, and φ is one BLAS dot per (table, row, player) over a
+    contiguous array of coalition differences. In sampled mode each row's
+    permutation points are one batch.
     """
     def score(z):
         scores = [model.score(z) for model in models]
@@ -163,18 +185,27 @@ def _explain_all(models, X, background: Background, exact: bool,
     n, d = X.shape
     if not exact:
         return _sampled_shapley(score, X, background, n_samples, seed)
-    bits, pairs = _coalition_tables(background.n_players)
+    g, b = background.n_players, background.size
+    bits, without, with_i, weights = _coalition_tables(g)
     held = bits[:, background.players]  # (coalition, column): column's player in S
-    v = np.empty((len(models) + (second is not None), n, len(bits)))
-    for r, x in enumerate(X):
-        todo = np.flatnonzero((r == 0) | held[:, x != X[0]].any(axis=1))
-        v[:, r] = v[:, 0]  # what row r shares with row 0 (row 0 rescores all)
-        if todo.size:
-            # (coalition, background, column): instance value on the coalition
-            z = np.where(held[todo, None, :], x, background.rows[None, :, :]).reshape(-1, d)
-            v[:, r, todo] = score(z).reshape(len(v), todo.size, -1).mean(axis=2)
-    phi = np.array([[[np.dot(w, v_r[with_i] - v_r[without]) for without, with_i, w in pairs]
-                     for v_r in v_t] for v_t in v])
+    # (row, player): the player differs from row 0; row 0 takes every coalition
+    moved = (X != X[:1]) @ (background.players[:, None] == np.arange(g))
+    need = (moved @ bits.T) | (np.arange(n) == 0)[:, None]  # (row, coalition)
+    row, coalition = np.nonzero(need)
+    counts = need.sum(axis=1)
+    start = np.concatenate([[0], np.cumsum(counts)])
+    values = np.empty((len(models) + (second is not None), len(row)))
+    for first, stop in _batches(b * counts):
+        pairs = slice(start[first], start[stop])
+        # (pair, background, column): the row's values on the coalition's players
+        z = np.where(held[coalition[pairs], None, :], X[row[pairs], None, :],
+                     background.rows[None, :, :]).reshape(-1, d)
+        values[:, pairs] = score(z).reshape(len(values), -1, b).mean(axis=2)
+    v = np.empty((len(values), n, len(bits)))
+    v[:, row, coalition] = values
+    v = np.where(need, v, v[:, :1])  # a coalition shared with row 0: row 0's value
+    D = np.ascontiguousarray(v[..., with_i] - v[..., without])
+    phi = np.matmul(D[..., None, :], weights[:, :, None])[..., 0, 0]
     return phi, v[:, :, 0]
 
 

@@ -127,7 +127,8 @@ def _sens_explained(explain_fn, model, x, r: float, n_probes: int, seed: int,
 
 def _max_shift(explained) -> float:
     own, *candidates = explained
-    return max([0.0] + [float(np.linalg.norm(e.phi - own.phi)) for e in candidates])
+    shifts = np.reshape([e.phi for e in candidates], (len(candidates), own.phi.size)) - own.phi
+    return max([0.0] + _norms(shifts).tolist())
 
 
 def sens_max(explain_fn, model, x, r: float, n_probes: int = 8, seed: int = 0, *,

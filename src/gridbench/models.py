@@ -255,7 +255,7 @@ class DecisionTreeModel(TrainedModel):
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self._depth):
             go_left = flat[row_start + self.feature[node]] <= self.split_value[node]
-            node = self._child[2 * node + go_left]
+            node = self._child[(node << 1) | go_left]
         return self.value[node]
 
     def _parameter_tokens(self):

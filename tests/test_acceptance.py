@@ -29,7 +29,14 @@ from gridbench.metrics import (
     lipschitz_lower,
     sens_max,
 )
-from gridbench.models import mlp_loss_and_gradients, train, train_stack
+from gridbench.models import (
+    DecisionTreeModel,
+    LogisticRegressionModel,
+    MLPModel,
+    mlp_loss_and_gradients,
+    train,
+    train_stack,
+)
 from gridbench.preprocess import PipelineConfig, apply_pipeline, fit_pipeline
 from gridbench.stats import bootstrap_ci_mean_diff, cohens_d, effect_label, wilcoxon_signed_rank
 from gridbench.store import validate
@@ -48,6 +55,10 @@ TINY_CONFIG_DIGEST = "f182488274bbf84e7bc7445e080d1e0df6c9c99cc4a0fb724a9eb89563
 SAMPLED_STUDY_DIGEST = "77c187b0c20115da78b01adaf984530be2d548518c6f905d5336520760e5e9c8"
 SAMPLED_PCA_STUDY_DIGEST = "b4c2fbee92bd0f04043d30ffcca45e44205b5e04da3311a29bc7c4917e0f69c4"
 SAMPLED_CSV_HASH = "5d6de3065899d99c945dedf6826c2dca6e605d9d8aaf9b2f0756d6a7f56080a1"
+# the case study's leaf-model score calls and rows in the calling process; it
+# trains in forked workers, whose calls these counts do not see
+CASE_STUDY_SCORE_CALLS = 3502
+CASE_STUDY_SCORE_ROWS = 4999222
 
 
 def _exact_order(model, x, background):
@@ -331,15 +342,29 @@ def test_classification_metric_oracle():
             "inverted classifiers hit the boundary values")
 
 
-def test_end_to_end_case_study(tmp_path):
+def _counted(score, scored):
+    def counting(self, X):
+        scored.append(len(X))
+        return score(self, X)
+    return counting
+
+
+def test_end_to_end_case_study(tmp_path, monkeypatch):
     """Shipped config runs < 10 min, valid record, sens_max SVG, finite stats,
-    rerun digest equality, digest equal to the pinned one."""
+    rerun digest equality, digest equal to the pinned one, and the pinned
+    score calls and rows of the calling process (not the training workers)."""
     config = json.loads((REPO_ROOT / "configs" / "case_study.json")
                         .read_text(encoding="utf-8"))
+    scored = []
+    for leaf in (LogisticRegressionModel, DecisionTreeModel, MLPModel):
+        monkeypatch.setattr(leaf, "score", _counted(leaf.score, scored))
     started = time.perf_counter()
     record = run_study(config, base_dir=tmp_path / "one")
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0, f"case study took {elapsed:.0f}s"
+    assert (len(scored), sum(scored)) == (CASE_STUDY_SCORE_CALLS, CASE_STUDY_SCORE_ROWS), (
+        "the case study's score calls or rows changed; a change that moves them "
+        "on purpose must update CASE_STUDY_SCORE_CALLS and CASE_STUDY_SCORE_ROWS")
 
     assert validate(record) == []
     report_dir = tmp_path / "one" / "reports"

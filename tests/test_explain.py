@@ -287,23 +287,26 @@ class TestBackgroundAndBuilder:
 # --- the per-point paths the batched engine replaced, kept as references ---
 
 def _reference_exact(model, x, background):
-    """Exact Shapley of one point: all 2^d coalitions scored in one call."""
+    """Exact Shapley of one point: all 2^G coalitions of the background's G
+    players scored in one call."""
     d = x.shape[0]
-    n_masks = 1 << d
+    g = background.n_players
+    n_masks = 1 << g
     bg = background.rows
     b = bg.shape[0]
 
-    bits = ((np.arange(n_masks)[:, None] >> np.arange(d)[None, :]) & 1).astype(bool)
-    z = np.where(bits[:, None, :], x[None, None, :], bg[None, :, :])
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)
+    held = bits[:, background.players]
+    z = np.where(held[:, None, :], x[None, None, :], bg[None, :, :])
     scores = model.score(z.reshape(n_masks * b, d))
     v = scores.reshape(n_masks, b).mean(axis=1)
 
     popcount = bits.sum(axis=1)
-    weights = np.array([factorial(s) * factorial(d - s - 1) / factorial(d)
-                        for s in range(d)])
+    weights = np.array([factorial(s) * factorial(g - s - 1) / factorial(g)
+                        for s in range(g)])
     masks = np.arange(n_masks)
-    phi = np.empty(d)
-    for i in range(d):
+    phi = np.empty(g)
+    for i in range(g):
         bit = 1 << i
         without = masks[(masks & bit) == 0]
         w = weights[popcount[without]]
@@ -353,12 +356,18 @@ def _engine(kind, model, points, background, **kw):
     return explain(model, points, background, **kw)
 
 
-def _with_candidates(x, r=0.01, n_probes=3, seed=0):
-    """x, its axis points, its two corners and seeded probes (as sens_max)."""
+def _with_candidates(x, r=0.01, n_probes=3, seed=0, numeric=None):
+    """x, its axis points, its two corners and seeded probes (as sens_max),
+    moving the ``numeric`` columns only (default: every column)."""
     d = x.shape[0]
-    probes = x + np.random.default_rng(seed).uniform(-r, r, size=(n_probes, d))
-    return np.vstack([x, x + r * np.eye(d), x - r * np.eye(d), x + r, x - r,
+    numeric = np.ones(d, dtype=bool) if numeric is None else np.asarray(numeric)
+    axes = r * np.eye(d)[numeric]
+    probes = x + numeric * np.random.default_rng(seed).uniform(-r, r, size=(n_probes, d))
+    return np.vstack([x, x + axes, x - axes, x + r * numeric, x - r * numeric,
                       probes])
+
+
+CASE_STUDY_PLAYERS = ([0, 1, 2, 3, 4, 5, 5, 5], [True] * 5 + [False] * 3)
 
 
 @pytest.fixture(scope="module")
@@ -391,11 +400,18 @@ class TestCoalitionEngine:
             assert np.max(np.abs(g.phi - w.phi)) <= 1e-12
             assert abs(g.base_value - w.base_value) <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
-    def test_exact_bitwise_at_case_study_shape(self, stacks, kind):
+    @pytest.mark.parametrize("kind, grouping", [
+        ("blackbox", (None, None)), ("basic_join", (None, None)),
+        ("blackbox", CASE_STUDY_PLAYERS), ("basic_join", CASE_STUDY_PLAYERS)],
+        ids=["blackbox", "basic_join", "blackbox-one_hot_block",
+             "basic_join-one_hot_block"])
+    def test_exact_bitwise_at_case_study_shape(self, stacks, kind, grouping):
+        # 8 columns and 40 background rows; grouped, the case study's 6
+        # players with a 3-column one-hot block, and 21 points that move
+        # the numeric columns only
         ens, X = stacks[8]
-        bg = Background(X[-40:])
-        points = _with_candidates(X[0], n_probes=8)
+        bg = Background(X[-40:], *grouping)
+        points = _with_candidates(X[0], n_probes=8, numeric=bg.numeric)
         got = _engine(kind, ens, points, bg, mode="exact")
         want = _reference(kind, ens, points, bg, _reference_exact)
         for g, w in zip(got, want):
@@ -426,7 +442,8 @@ class TestCoalitionEngine:
 
     def test_candidate_scores_only_coalitions_it_changes(self):
         # an axis point shares every coalition without its feature with x;
-        # a point equal to x shares all of them and scores nothing
+        # a point equal to x shares all of them and scores nothing; the
+        # points' coalitions fit one batch, so they are one call
         scored = []
 
         class Counting(LinearStub):
@@ -439,7 +456,31 @@ class TestCoalitionEngine:
         points = np.vstack([x, x + 0.5 * np.eye(d)[1], x])
         shapley_explain(Counting(np.ones(d)), points, Background(np.zeros((b, d))),
                         mode="exact")
-        assert scored == [b * 2**d, b * 2**(d - 1)]
+        assert scored == [b * 2**d + b * 2**(d - 1)]
+
+    def test_call_scores_whole_points_in_shared_batches(self):
+        # the case study's shape: 8 columns as 6 players, 40 background rows,
+        # x and 20 candidates, 40,160 rows in all; a point's block is the
+        # coalitions holding a player where it differs from x
+        batches = []
+
+        class Counting(LinearStub):
+            def score(self, X):
+                batches.append(len(X))
+                return super().score(X)
+
+        rng = np.random.default_rng(0)
+        b, g = 40, 6
+        bg = _grouped(rng.uniform(size=(b, 8)), *CASE_STUDY_PLAYERS)
+        points = _with_candidates(rng.uniform(size=8), n_probes=8, numeric=bg.numeric)
+        shapley_explain(Counting(np.ones(8)), points, bg, mode="exact")
+        moved = [np.unique(bg.players[p != points[0]]).size for p in points[1:]]
+        blocks = [b * 2**g] + [b * (2**g - 2**(g - m)) for m in moved]
+        assert len(points) == 21 and sum(batches) == sum(blocks) > 8192
+        assert len(batches) < len(points)
+        assert max(batches) <= max(8192, b * 2**g)
+        # every batch ends where a point's block ends: it holds whole points
+        assert set(np.cumsum(batches).tolist()) <= set(np.cumsum(blocks).tolist())
 
 
 class TestJointPass:

@@ -722,10 +722,11 @@ class TestSuites:
                                   sample_background(X_test, b, seed=0),
                                   r=0.01, n_probes=n_probes, K=K, seed=2)
         explained = b * (2**d + d * 2**d + (2 + n_probes) * (2**d - 1))
-        # plus the instance's own score and its K+1 MoRF points
+        # plus the instance's own score and its K+1 MoRF points; the explained
+        # rows fit one batch, so the instance's explanation is one call
         assert model.rows == explained + 1 + (K + 1)
-        assert model.max_rows == b * 2**d
-        assert model.calls == 1 + (1 + 2 * d + 2 + n_probes) + 1
+        assert model.max_rows == explained
+        assert model.calls == 1 + 1 + 1
 
     @pytest.mark.parametrize("kind", ["blackbox", "basic_join"])
     def test_explanation_suite_matches_three_explanation_reference(
